@@ -77,7 +77,7 @@ class FiniteCategory:
         return self.cod.get(f) == self.dom.get(g)
 
 
-def make_category(objects, arrows, composition=None, identity_prefix="id_"):
+def make_category(objects, arrows, composition=None):
     """Build a FiniteCategory from non-identity arrow data.
 
     ``arrows`` is a sequence of (name, dom, cod); identities are synthesized
@@ -87,7 +87,7 @@ def make_category(objects, arrows, composition=None, identity_prefix="id_"):
     """
     objects = tuple(objects)
     arrow_names = tuple(a[0] for a in arrows)
-    identity = {o: identity_prefix + o for o in objects}
+    identity = {o: "id_" + o for o in objects}
     clash = set(arrow_names) & set(identity.values())
     if clash:
         raise ValueError(f"morphism name reserved for identities: {sorted(clash)!r}")
@@ -174,17 +174,13 @@ class SetPresheaf:
     value: dict[str, tuple[str, ...]]
     restrict: dict[str, dict[str, str]]
 
-    def apply(self, f: str, s: str) -> str:
-        return self.restrict[f][s]
 
-
-def make_presheaf(cat, value, restrict, fill_identities=True) -> SetPresheaf:
+def make_presheaf(cat, value, restrict) -> SetPresheaf:
     """Normalize presheaf data: sort values, synthesize identity restrictions."""
     val = {o: tuple(sorted(value.get(o, ()))) for o in cat.objects}
     res = {m: dict(t) for m, t in restrict.items()}
-    if fill_identities:
-        for o in cat.objects:
-            res.setdefault(cat.identity[o], {s: s for s in val[o]})
+    for o in cat.objects:
+        res.setdefault(cat.identity[o], {s: s for s in val[o]})
     return SetPresheaf(cat, val, res)
 
 

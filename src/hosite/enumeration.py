@@ -65,10 +65,6 @@ def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPres
         yield from rec(0)
 
 
-def count_presheaves(cat: FiniteCategory, max_card: int) -> int:
-    return sum(1 for _ in enumerate_presheaves(cat, max_card))
-
-
 def sample_presheaves(cat: FiniteCategory, max_card: int, k: int, rng: Random) -> list[SetPresheaf]:
     """Reservoir-sample k presheaves from the full enumeration."""
     reservoir: list[SetPresheaf] = []

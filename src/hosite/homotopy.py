@@ -1,6 +1,13 @@
 """Reflexive-graph-enriched categories, homotopy categories, and the three
 presheaf functors induced by the quotient.
 
+The localization gamma is the identity on objects and surjective on every
+hom-set, so both Kan extensions along it have closed forms (Yoneda applied
+to the epi y(Z) -> gamma^*y(Z); Gabriel–Zisman 1967): gamma_* keeps the
+sections on which parallel gamma-equal restrictions agree, and gamma_!
+identifies their images. The end and coend formulas survive only as test
+oracles.
+
 Enrichment is 1-truncated: hom-sets carry unoriented homotopy edges, every
 vertex is tacitly self-connected, and nothing above connected components is
 retained. Whisker-compatibility is a validated input precondition — it is
@@ -11,16 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    PASS,
-    FiniteCategory,
-    PresheafMorphism,
-    SetPresheaf,
-    ValidationReport,
-    hom_presheaves,
-    yoneda,
-)
-from .core import _fail
+from .core import PASS, FiniteCategory, PresheafMorphism, SetPresheaf, ValidationReport, _fail
 from .util import UnionFind
 
 
@@ -146,101 +144,71 @@ def gamma_star_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> Preshea
                             {o: dict(m.components[o]) for o in h.base.objects})
 
 
-def _shriek_tables(h: HomotopyCategoryData, pre: SetPresheaf):
-    """Per object of the quotient: the coend classes of (object, section,
-    quotient-morphism) triples and the canonical representative of each."""
-    base, ho, gamma = h.base, h.ho, h.gamma
-    tables = {}
-    for z in ho.objects:
-        triples = [
-            (w, s, v)
-            for w in base.objects
-            for s in pre.value[w]
-            for v in ho.hom(z, w)
-        ]
-        uf = UnionFind(triples)
-        for u in base.morphisms:
-            if base.is_identity(u):
-                continue
-            w2, w = base.dom[u], base.cod[u]
-            gu = gamma[u]
-            for s in pre.value[w]:
-                s2 = pre.restrict[u][s]
-                for v2 in ho.hom(z, w2):
-                    uf.union((w2, s2, v2), (w, s, ho.compose(gu, v2)))
-        rep = {}
-        for root, members in uf.classes().items():
-            for t in members:
-                rep[t] = root
-        tables[z] = rep
-    return tables
+def _representatives(h: HomotopyCategoryData) -> dict[str, str]:
+    """One base morphism per quotient morphism (the first declared)."""
+    rep: dict[str, str] = {}
+    for m in h.base.morphisms:
+        rep.setdefault(h.gamma[m], m)
+    return rep
 
 
-def _triple_id(t: tuple[str, str, str]) -> str:
-    return "({},{},{})".format(*t)
+def _shriek(h: HomotopyCategoryData, pre: SetPresheaf):
+    """gamma_! of pre, together with the class of every section."""
+    if pre.cat != h.base:
+        raise ValueError("presheaf does not live over the base category")
+    base, ho = h.base, h.ho
+    rep = _representatives(h)
+    uf = {z: UnionFind(pre.value[z]) for z in base.objects}
+    for f in base.morphisms:
+        moved, by_rep = pre.restrict[f], pre.restrict[rep[h.gamma[f]]]
+        for s in pre.value[base.cod[f]]:
+            uf[base.dom[f]].union(moved[s], by_rep[s])
+    cls = {
+        z: {s: least for least, members in uf[z].classes().items() for s in members}
+        for z in base.objects
+    }
+    value = {z: tuple(sorted(set(cls[z].values()))) for z in ho.objects}
+    restrict = {
+        q: {c: cls[ho.dom[q]][pre.restrict[rep[q]][c]] for c in value[ho.cod[q]]}
+        for q in ho.morphisms
+    }
+    return SetPresheaf(ho, value, restrict), cls
 
 
 def gamma_shriek(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
-    """Left Kan extension along gamma, computed as a coend: triples
-    (W, s, v: Z -> W) modulo (F(u)(s), v) ~ (s, gamma(u)∘v)."""
-    if pre.cat != h.base:
-        raise ValueError("presheaf does not live over the base category")
-    ho = h.ho
-    tables = _shriek_tables(h, pre)
-    value = {z: tuple(sorted({_triple_id(r) for r in tables[z].values()})) for z in ho.objects}
-    restrict: dict[str, dict[str, str]] = {}
-    for w in ho.morphisms:
-        z2, z = ho.dom[w], ho.cod[w]
-        restrict[w] = {
-            _triple_id(r): _triple_id(tables[z2][(r[0], r[1], ho.compose(r[2], w))])
-            for r in set(tables[z].values())
-        }
-    return SetPresheaf(ho, value, restrict)
+    """Left Kan extension along gamma: F(Z) modulo F(f)(s) ~ F(f')(s) for
+    gamma(f) = gamma(f'), each class named by its least section; restriction
+    along [w] is F(w) for any representative w."""
+    return _shriek(h, pre)[0]
 
 
 def gamma_shriek_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> PresheafMorphism:
-    src, tgt = gamma_shriek(h, m.source), gamma_shriek(h, m.target)
-    src_tables = _shriek_tables(h, m.source)
-    tgt_tables = _shriek_tables(h, m.target)
-    comps = {}
-    for z in h.ho.objects:
-        comps[z] = {
-            _triple_id(r): _triple_id(tgt_tables[z][(r[0], m.components[r[0]][r[1]], r[2])])
-            for r in set(src_tables[z].values())
-        }
+    src, _ = _shriek(h, m.source)
+    tgt, tgt_cls = _shriek(h, m.target)
+    comps = {
+        z: {c: tgt_cls[z][m.components[z][c]] for c in src.value[z]}
+        for z in h.ho.objects
+    }
     return PresheafMorphism(src, tgt, comps)
 
 
-def nt_key(m: PresheafMorphism) -> str:
-    """Canonical id for a natural transformation."""
-    parts = []
-    for o in m.source.cat.objects:
-        inner = ",".join(f"{u}->{t}" for u, t in sorted(m.components[o].items()))
-        parts.append(f"{o}:{inner}")
-    return "{" + ";".join(parts) + "}"
-
-
 def gamma_lower_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
-    """Right Kan extension along gamma, computed as the end: sections over Z
-    are the natural transformations gamma^*(y(Z)) -> F."""
+    """Right Kan extension along gamma: the sections s of F(Z) with
+    F(f)(s) = F(f')(s) whenever gamma(f) = gamma(f'); restriction along [w]
+    is F(w) for any representative w."""
     if pre.cat != h.base:
         raise ValueError("presheaf does not live over the base category")
-    ho = h.ho
-    sections: dict[str, dict[str, PresheafMorphism]] = {}
-    for z in ho.objects:
-        nts = hom_presheaves(gamma_star(h, yoneda(ho, z)), pre)
-        sections[z] = {nt_key(t): t for t in nts}
-    value = {z: tuple(sorted(sections[z])) for z in ho.objects}
-    restrict: dict[str, dict[str, str]] = {}
-    for w in ho.morphisms:
-        z2, z = ho.dom[w], ho.cod[w]
-        table = {}
-        for key, t in sections[z].items():
-            comps = {
-                v: {u: t.components[v][ho.compose(w, u)] for u in ho.hom(v, z2)}
-                for v in ho.objects
-            }
-            moved = PresheafMorphism(gamma_star(h, yoneda(ho, z2)), pre, comps)
-            table[key] = nt_key(moved)
-        restrict[w] = table
+    base, ho = h.base, h.ho
+    rep = _representatives(h)
+    value = {
+        z: tuple(sorted(
+            s for s in pre.value[z]
+            if all(pre.restrict[f][s] == pre.restrict[rep[h.gamma[f]]][s]
+                   for f in base.arrows_into(z))))
+        for z in ho.objects
+    }
+    restrict = {
+        q: {s: pre.restrict[rep[q]][s] for s in value[ho.cod[q]]}
+        for q in ho.morphisms
+    }
     return SetPresheaf(ho, value, restrict)

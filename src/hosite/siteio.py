@@ -72,12 +72,39 @@ def _err(message: str) -> SiteLoadError:
     return SiteLoadError(f"load error: {message}")
 
 
+# Expected JSON shape of each top-level key: [t] is a list of t, {str: t} an
+# object with any keys, and any other dict an object with those optional keys.
+_SHAPES = {
+    "objects": [str],
+    "morphisms": [{str: str}],
+    "composition": {str: str},
+    "edges": [[str]],
+    "covers": {str: [[str]]},
+    "presheaves": {str: {"values": {str: [str]}, "restrictions": {str: {str: str}}}},
+}
+
+
+def _fits(x, shape) -> bool:
+    if shape is str:
+        return isinstance(x, str)
+    if isinstance(shape, list):
+        return isinstance(x, (list, tuple)) and all(_fits(v, shape[0]) for v in x)
+    if not isinstance(x, dict):
+        return False
+    if str in shape:
+        return all(isinstance(k, str) and _fits(v, shape[str]) for k, v in x.items())
+    return all(_fits(x[k], sub) for k, sub in shape.items() if k in x)
+
+
 def load_site(doc: dict) -> SiteDocument:
     if not isinstance(doc, dict):
         raise _err("site document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise _err(f"unknown key: {sorted(unknown)[0]}")
+    for key, shape in _SHAPES.items():
+        if key in doc and not _fits(doc[key], shape):
+            raise _err(f"malformed {key}: expected the lists and objects of strings of the site format")
     raw = normalize_raw(doc)
 
     objects = raw["objects"]

@@ -31,6 +31,9 @@ from .sheafify import (
 from .siteio import SiteDocument
 from .randomsites import random_site
 
+# presheaves sampled per site for the sheafification-engine battery
+ENGINE_SAMPLES = 3
+
 
 def engine_checks(top, presheaves, label: str = "sheafification-engine") -> list[CheckResult]:
     """Sheafification-engine battery over a list of presheaves: the output is
@@ -84,8 +87,7 @@ def engine_checks(top, presheaves, label: str = "sheafification-engine") -> list
                         data={"presheaves": cases, "exactness_pairs": exact_cases})]
 
 
-def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0,
-                   engine_samples: int = 3) -> list[CheckResult]:
+def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[CheckResult]:
     """Everything checkable on one site, as a flat list of results."""
     h, top = site.homotopy, site.topology
     out: list[CheckResult] = []
@@ -102,7 +104,7 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0,
     out.append(check_cover_reflecting(h, top, rep.induced))
     out.extend(check_comparison_lemmas(h, top, rep.induced, bound=bound, seed=seed))
     out.append(check_sheaf_transfer(h, top, rep.induced, bound=bound))
-    sample = sample_presheaves(site.category, bound, engine_samples, Random(seed + 1))
+    sample = sample_presheaves(site.category, bound, ENGINE_SAMPLES, Random(seed + 1))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

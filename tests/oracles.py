@@ -2,13 +2,25 @@
 
 These deliberately stay naive: full product enumerations filtered by the
 defining condition, with none of the propagation or minimal-sieve shortcuts
-the package itself uses.
+the package itself uses. The Kan extensions along gamma are computed here by
+their generic formulas, the end and the coend, against which the package's
+closed forms are checked up to isomorphism.
 """
 from __future__ import annotations
 
 from itertools import product
 
-from hosite import PresheafMorphism, classify_presheaf
+from hosite import (
+    PresheafMorphism,
+    SetPresheaf,
+    classify_presheaf,
+    componentwise_bijection,
+    gamma_star,
+    hom_presheaves,
+    yoneda,
+)
+from hosite.homotopy import HomotopyCategoryData
+from hosite.util import UnionFind
 
 
 def hom_product_filter(u, f):
@@ -76,3 +88,98 @@ def classify_all_covers(pre, top):
 
 def assert_classification_agrees(pre, top):
     assert classify_all_covers(pre, top) == classify_presheaf(pre, top).kind
+
+
+def _shriek_tables(h: HomotopyCategoryData, pre: SetPresheaf):
+    """Per object of the quotient: the coend classes of (object, section,
+    quotient-morphism) triples and the canonical representative of each."""
+    base, ho, gamma = h.base, h.ho, h.gamma
+    tables = {}
+    for z in ho.objects:
+        triples = [
+            (w, s, v)
+            for w in base.objects
+            for s in pre.value[w]
+            for v in ho.hom(z, w)
+        ]
+        uf = UnionFind(triples)
+        for u in base.morphisms:
+            if base.is_identity(u):
+                continue
+            w2, w = base.dom[u], base.cod[u]
+            gu = gamma[u]
+            for s in pre.value[w]:
+                s2 = pre.restrict[u][s]
+                for v2 in ho.hom(z, w2):
+                    uf.union((w2, s2, v2), (w, s, ho.compose(gu, v2)))
+        rep = {}
+        for root, members in uf.classes().items():
+            for t in members:
+                rep[t] = root
+        tables[z] = rep
+    return tables
+
+
+def _triple_id(t: tuple[str, str, str]) -> str:
+    return "({},{},{})".format(*t)
+
+
+def gamma_shriek_coend(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
+    """Left Kan extension along gamma, computed as a coend: triples
+    (W, s, v: Z -> W) modulo (F(u)(s), v) ~ (s, gamma(u)∘v)."""
+    if pre.cat != h.base:
+        raise ValueError("presheaf does not live over the base category")
+    ho = h.ho
+    tables = _shriek_tables(h, pre)
+    value = {z: tuple(sorted({_triple_id(r) for r in tables[z].values()})) for z in ho.objects}
+    restrict: dict[str, dict[str, str]] = {}
+    for w in ho.morphisms:
+        z2, z = ho.dom[w], ho.cod[w]
+        restrict[w] = {
+            _triple_id(r): _triple_id(tables[z2][(r[0], r[1], ho.compose(r[2], w))])
+            for r in set(tables[z].values())
+        }
+    return SetPresheaf(ho, value, restrict)
+
+
+def nt_key(m: PresheafMorphism) -> str:
+    """Canonical id for a natural transformation."""
+    parts = []
+    for o in m.source.cat.objects:
+        inner = ",".join(f"{u}->{t}" for u, t in sorted(m.components[o].items()))
+        parts.append(f"{o}:{inner}")
+    return "{" + ";".join(parts) + "}"
+
+
+def gamma_lower_star_end(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
+    """Right Kan extension along gamma, computed as the end: sections over Z
+    are the natural transformations gamma^*(y(Z)) -> F."""
+    if pre.cat != h.base:
+        raise ValueError("presheaf does not live over the base category")
+    ho = h.ho
+    sections: dict[str, dict[str, PresheafMorphism]] = {}
+    for z in ho.objects:
+        nts = hom_presheaves(gamma_star(h, yoneda(ho, z)), pre)
+        sections[z] = {nt_key(t): t for t in nts}
+    value = {z: tuple(sorted(sections[z])) for z in ho.objects}
+    restrict: dict[str, dict[str, str]] = {}
+    for w in ho.morphisms:
+        z2, z = ho.dom[w], ho.cod[w]
+        table = {}
+        for key, t in sections[z].items():
+            comps = {
+                v: {u: t.components[v][ho.compose(w, u)] for u in ho.hom(v, z2)}
+                for v in ho.objects
+            }
+            moved = PresheafMorphism(gamma_star(h, yoneda(ho, z2)), pre, comps)
+            table[key] = nt_key(moved)
+        restrict[w] = table
+    return SetPresheaf(ho, value, restrict)
+
+
+def isomorphic(f, g):
+    """Whether some natural transformation f -> g is a bijection in every
+    component."""
+    if any(len(f.value[o]) != len(g.value[o]) for o in f.cat.objects):
+        return False
+    return any(componentwise_bijection(m)[0] for m in hom_presheaves(f, g))

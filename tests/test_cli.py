@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -159,6 +160,21 @@ def test_load_error_exit_code(tmp_path):
     assert "syntax error" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"objects": "xy"},
+    {"objects": ["x"], "presheaves": {"P": {"values": {"x": "ab"}}}},
+    {"objects": [1]},
+    {"morphisms": [1]},
+], ids=["objects-string", "presheaf-value-string", "objects-int", "morphisms-int"])
+def test_malformed_document_is_load_error(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(bad)])
+    assert code == 1
+    assert err.startswith("load error: ")
+    assert "Traceback" not in err
+
+
 def test_fixture_verb_round_trips(tmp_path):
     out_path = tmp_path / "b.json"
     code, _, _ = run_cli(["fixture", "B", "--out", str(out_path)])
@@ -220,7 +236,7 @@ def test_digest_ignores_formatting():
 def test_seed_env_override(fixture_files, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "hosite.cli", "induce", fixture_files["B"], "--json"],
-        capture_output=True, text=True, env={"HOSITE_SEED": "42", "PATH": "/usr/bin:/bin"})
+        capture_output=True, text=True, env={**os.environ, "HOSITE_SEED": "42"})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 42
 

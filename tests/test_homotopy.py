@@ -12,6 +12,7 @@ from hosite import (
     gamma_shriek,
     gamma_shriek_morphism,
     gamma_star,
+    gamma_star_morphism,
     generate_sieve,
     homotopy_category,
     hom_presheaves,
@@ -20,6 +21,7 @@ from hosite import (
     make_category,
     make_presheaf,
     pi0,
+    random_site,
     sieve_presheaf,
     validate_category,
     validate_enrichment,
@@ -28,7 +30,8 @@ from hosite import (
     yoneda,
 )
 from hosite.enumeration import enumerate_presheaves
-from hosite.homotopy import nt_key
+from hosite.homotopy import _shriek
+from oracles import gamma_lower_star_end, gamma_shriek_coend, isomorphic
 
 
 def test_pi0_examples():
@@ -139,29 +142,22 @@ def test_gamma_star_wrong_category(site_b):
 
 
 def _shriek_comparison(h, pre, target, value_of):
-    """The canonical map out of the coend: class of (W, s, v) |-> value_of(s, v)."""
-    from hosite.homotopy import _shriek_tables, _triple_id
-    tables = _shriek_tables(h, pre)
-    comps = {}
-    for z in h.ho.objects:
-        comps[z] = {
-            _triple_id(r): value_of(r[1], r[2])
-            for r in set(tables[z].values())
-        }
-    return PresheafMorphism(gamma_shriek(h, pre), target, comps)
+    """The canonical map out of γ_!F: the class of s |-> value_of(s)."""
+    shrek = gamma_shriek(h, pre)
+    comps = {z: {c: value_of(c) for c in shrek.value[z]} for z in h.ho.objects}
+    return PresheafMorphism(shrek, target, comps)
 
 
 def test_gamma_shriek_preserves_representables(all_sites):
-    # the comparison class(W, f, v) |-> gamma(f)∘v onto the representable of
-    # the quotient is a natural bijection
+    # the comparison class(f) |-> gamma(f) onto the representable of the
+    # quotient is a natural bijection
     from hosite import componentwise_bijection
     for site in all_sites.values():
         h = site.homotopy
         for x in h.base.objects:
             target = yoneda(h.ho, x)
             comparison = _shriek_comparison(
-                h, yoneda(h.base, x), target,
-                lambda f, v: h.ho.compose(h.gamma[f], v))
+                h, yoneda(h.base, x), target, lambda f: h.gamma[f])
             assert validate_presheaf(comparison.source, h.ho)
             assert validate_presheaf_morphism(comparison)
             ok, _ = componentwise_bijection(comparison)
@@ -176,8 +172,7 @@ def test_gamma_shriek_sieve_comparison_epi_not_mono(site_b):
     j = generate_sieve(cat, "y", ["f1", "f2"])
     u = sieve_presheaf(cat, j)
     bracket = sieve_presheaf(h.ho, generate_sieve(h.ho, "y", ["[f1]"]))
-    q = _shriek_comparison(h, u, bracket,
-                           lambda f, v: h.ho.compose(h.gamma[f], v))
+    q = _shriek_comparison(h, u, bracket, lambda f: h.gamma[f])
     assert validate_presheaf_morphism(q)
     assert len(q.source.value["x"]) == 2
     assert len(bracket.value["x"]) == 1
@@ -225,28 +220,15 @@ def test_adjunction_cardinalities(site_b, site_e):
 
 
 def _shriek_unit(h, pre):
-    """F -> γ*γ_!F sending s to the class of (W, s, id)."""
-    from hosite.homotopy import _shriek_tables, _triple_id
-    tables = _shriek_tables(h, pre)
-    comps = {
-        w: {s: _triple_id(tables[w][(w, s, h.ho.identity[w])]) for s in pre.value[w]}
-        for w in h.base.objects
-    }
-    return PresheafMorphism(pre, gamma_star(h, gamma_shriek(h, pre)), comps)
+    """F -> γ*γ_!F sending s to its class."""
+    shrek, cls = _shriek(h, pre)
+    return PresheafMorphism(pre, gamma_star(h, shrek), {w: dict(cls[w]) for w in h.base.objects})
 
 
-def _shriek_counit(h, pre):
-    """γ_!γ*G -> G evaluating a class (W, s, v) with the restriction along v."""
-    from hosite.homotopy import _shriek_tables, _triple_id
-    pulled = gamma_star(h, pre)
-    tables = _shriek_tables(h, pulled)
-    comps = {}
-    for z in h.ho.objects:
-        comps[z] = {
-            _triple_id(r): pre.restrict[r[2]][r[1]]
-            for r in set(tables[z].values())
-        }
-    return PresheafMorphism(gamma_shriek(h, pulled), pre, comps)
+def _shriek_counit(h, g):
+    """γ_!γ*G -> G; every class of γ*G is a singleton and maps to its member."""
+    shrek = gamma_shriek(h, gamma_star(h, g))
+    return PresheafMorphism(shrek, g, {z: {c: c for c in shrek.value[z]} for z in h.ho.objects})
 
 
 def test_shriek_adjunction_triangles(site_b, site_e):
@@ -272,38 +254,51 @@ def test_shriek_adjunction_triangles(site_b, site_e):
 
 
 def _lower_unit(h, g):
-    """G -> γ_*γ*G sending s to u |-> G(u)(s)."""
-    pulled = gamma_star(h, g)
-    comps = {}
-    for z in h.ho.objects:
-        table = {}
-        for s in g.value[z]:
-            source = gamma_star(h, yoneda(h.ho, z))
-            nt = PresheafMorphism(source, pulled, {
-                v: {u: g.restrict[u][s] for u in h.ho.hom(v, z)}
-                for v in h.ho.objects
-            })
-            table[s] = nt_key(nt)
-        comps[z] = table
-    return PresheafMorphism(g, gamma_lower_star(h, pulled), comps)
+    """G -> γ_*γ*G, s |-> s: every section of γ*G survives."""
+    return PresheafMorphism(g, gamma_lower_star(h, gamma_star(h, g)),
+                            {z: {s: s for s in g.value[z]} for z in h.ho.objects})
+
+
+def _lower_counit(h, pre):
+    """γ*γ_*F -> F, the inclusion of the surviving sections."""
+    pulled = gamma_star(h, gamma_lower_star(h, pre))
+    return PresheafMorphism(pulled, pre, {w: {s: s for s in pulled.value[w]} for w in h.base.objects})
 
 
 def test_lower_star_unit_triangle(site_b, site_e):
-    # γ*(unit) postcomposed with the counit (evaluation at the identity
-    # class) is the identity on γ*G
+    # γ*(unit) postcomposed with the counit is the identity on γ*G
     for site in (site_b, site_e):
         h = site.homotopy
         for g in list(enumerate_presheaves(h.ho, 2))[:8]:
             unit = _lower_unit(h, g)
             assert validate_presheaf_morphism(unit)
-            for z in h.ho.objects:
-                for s in g.value[z]:
-                    key = unit.components[z][s]
-                    source = gamma_star(h, yoneda(h.ho, z))
-                    match = [nt for nt in hom_presheaves(source, gamma_star(h, g))
-                             if nt_key(nt) == key]
-                    assert len(match) == 1
-                    assert match[0].components[z][h.ho.identity[z]] == s
+            pulled = gamma_star(h, g)
+            counit = _lower_counit(h, pulled)
+            assert validate_presheaf_morphism(counit)
+            composite = compose_morphisms(counit, gamma_star_morphism(h, unit))
+            assert composite.components == identity_morphism(pulled).components
+
+
+def _oracle_sites(all_sites):
+    return [*all_sites.values(), *(random_site(seed) for seed in range(10))]
+
+
+def test_gamma_lower_star_agrees_with_end(all_sites):
+    for site in _oracle_sites(all_sites):
+        h = site.homotopy
+        for pre in enumerate_presheaves(h.base, 2):
+            pushed = gamma_lower_star(h, pre)
+            assert validate_presheaf(pushed, h.ho)
+            assert isomorphic(pushed, gamma_lower_star_end(h, pre))
+
+
+def test_gamma_shriek_agrees_with_coend(all_sites):
+    for site in _oracle_sites(all_sites):
+        h = site.homotopy
+        for pre in enumerate_presheaves(h.base, 2):
+            shrek = gamma_shriek(h, pre)
+            assert validate_presheaf(shrek, h.ho)
+            assert isomorphic(shrek, gamma_shriek_coend(h, pre))
 
 
 def test_gamma_lower_star_transfers_sheaves_on_fixtures(site_b, site_d, site_e):
