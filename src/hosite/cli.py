@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 from .core import validate_category, validate_presheaf
+from .enumeration import LABELS
 from .homotopy import validate_enrichment
 from .induced import TheoremViolation, induced_topology, thicken_sieve
 from .fixtures import FIXTURE_NAMES, fixture_doc
@@ -121,6 +122,9 @@ def _cmd_classify(site: SiteDocument, args) -> list[CheckResult]:
 
 
 def _cmd_check_lemmas(site: SiteDocument, args) -> list[CheckResult]:
+    if not 0 <= args.bound <= len(LABELS):
+        raise SiteLoadError(f"load error: --bound {args.bound} is outside 0..{len(LABELS)} "
+                            f"(the value label pool has {len(LABELS)} labels)")
     checks = run_site_suite(site, bound=args.bound, seed=args.seed)
     if args.random_sites:
         population = run_population(count=args.random_sites, base_seed=args.seed,

@@ -1,9 +1,13 @@
 """The induced topology on the homotopy category and the comparison suite.
 
 Two independent characterizations are computed and compared: brackets of
-covering sieves, and the exhaustive sieve-lattice scan with the
-sheafification-isomorphism test. Their agreement is a theorem, so any
-disagreement fails loudly with a replayable counterexample.
+covering sieves, and the exhaustive sieve-lattice scan with the covering
+test. That test is a local-isomorphism test: a sieve on the quotient covers
+when the gamma-pullback of its inclusion is locally surjective and locally
+injective at the least covers of the base topology, which is exactly when
+it becomes an isomorphism after sheafification. The agreement of the two
+characterizations is a theorem, so any disagreement fails loudly with a
+replayable counterexample.
 """
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ def _gamma_star_inclusion(h: HomotopyCategoryData, u: Sieve):
 
 def is_bracket_cover(h: HomotopyCategoryData, top: GrothendieckTopology, u: Sieve) -> bool:
     """Covering test for a sieve on the quotient: pull the inclusion back to
-    the base and ask whether it is an isomorphism after sheafification."""
+    the base and ask whether it is a local isomorphism there."""
     return bool(is_tau_iso(_gamma_star_inclusion(h, u), top))
 
 

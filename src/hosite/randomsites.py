@@ -46,46 +46,33 @@ def _assign_composites(rng: Random, objects, arrows):
     dom = {a[0]: a[1] for a in arrows}
     cod = {a[0]: a[2] for a in arrows}
 
-    def lookup(table, g, f):
-        if f.startswith("id."):
-            return g
-        if g.startswith("id."):
-            return f
-        return table.get((g, f))
-
     pairs = [(g, f) for g in names for f in names if cod[f] == dom[g]]
     candidates = {}
     for g, f in pairs:
         cands = [m for m in names if dom[m] == dom[f] and cod[m] == cod[g]]
         if dom[f] == cod[g]:
-            cands.append("id." + dom[f])
+            cands.append("id_" + dom[f])
         if not cands:
             return None
         rng.shuffle(cands)
         candidates[(g, f)] = cands
 
+    # identity composites are fixed, so every lookup is a plain table read
     table: dict[tuple[str, str], str] = {}
+    for m in names:
+        table[(m, "id_" + dom[m])] = table[("id_" + cod[m], m)] = m
     budget = [_NODE_BUDGET]
 
     def consistent() -> bool:
-        for h in names:
-            for g in names:
-                if cod[g] != dom[h]:
-                    continue
-                hg = table.get((h, g))
-                for f in names:
-                    if cod[f] != dom[g]:
-                        continue
-                    gf = table.get((g, f))
-                    if gf is None:
-                        continue
-                    left = lookup(table, h, gf)
-                    if left is None or hg is None:
-                        continue
-                    right = lookup(table, hg, f)
-                    if right is None:
-                        continue
-                    if left != right:
+        for h, g in pairs:
+            hg = table.get((h, g))
+            if hg is None:
+                continue
+            for f in names:
+                gf = table.get((g, f))
+                if gf is not None:
+                    left = table.get((h, gf))
+                    if left is not None and left != table.get((hg, f), left):
                         return False
         return True
 
@@ -93,7 +80,7 @@ def _assign_composites(rng: Random, objects, arrows):
         if budget[0] <= 0:
             return False
         if i == len(pairs):
-            return consistent()
+            return True
         key = pairs[i]
         for cand in candidates[key]:
             budget[0] -= 1
@@ -105,7 +92,7 @@ def _assign_composites(rng: Random, objects, arrows):
 
     if not rec(0):
         return None
-    return {k: v for k, v in table.items()}
+    return {k: table[k] for k in pairs}
 
 
 def _sample_category(rng: Random, max_objects, max_morphisms):
@@ -123,14 +110,9 @@ def _sample_category(rng: Random, max_objects, max_morphisms):
     arrows = _complete_pattern(objects, arrows, max_morphisms)
     if arrows is None:
         return None
-    table = _assign_composites(rng, objects, arrows)
-    if table is None:
+    composition = _assign_composites(rng, objects, arrows)
+    if composition is None:
         return None
-    composition = {}
-    for (g, f), h in table.items():
-        if h.startswith("id."):
-            h = "id_" + h[3:]
-        composition[(g, f)] = h
     return objects, arrows, composition
 
 

@@ -1,23 +1,22 @@
 """Matching families, the plus-construction, and sheafification.
 
-The plus-construction is the filtered colimit, over covering sieves ordered
-by reverse inclusion, of matching families. Covers of a valid topology are
-closed under intersection, so that poset has a maximum — the minimal
-covering sieve — and the colimit is computed there directly: class
-representatives are canonicalized by restriction to the minimal sieve and
-equality of classes is literal equality. ``plus_construction_via_colimit``
-keeps the general construction alive as an independent oracle.
+Everything here reads the topology through its least covers
+(``minimal_cover``). The plus-construction is the filtered colimit, over
+covering sieves ordered by reverse inclusion, of matching families; that
+poset has the least cover as its maximum, so the colimit is computed there:
+classes are named by their restriction to it and compared literally.
+``plus_construction_via_colimit`` keeps the general construction alive as
+an independent oracle. ``is_tau_iso`` is the local-isomorphism test: m: F -> G
+sheafifies to an iso iff, with J the least cover of each x, every G(f)t for
+t in G(x), f in J lies in the image of m, and sections of F(x) with the same
+image agree along every f in J. Its witness is the first object, in
+declaration order, where either check fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    PresheafMorphism,
-    SetPresheaf,
-    compose_morphisms,
-    componentwise_bijection,
-)
+from .core import PresheafMorphism, SetPresheaf, compose_morphisms
 from .sieves import GrothendieckTopology, Sieve, minimal_cover, pullback_sieve
 from .util import UnionFind
 
@@ -95,8 +94,10 @@ class Classification:
         return self.kind != "not-separated"
 
 
-def _comparison_points(top: GrothendieckTopology):
-    """Objects with their minimal covering sieve, skipping maximal ones.
+def _sheaf_condition(pre: SetPresheaf, top: GrothendieckTopology):
+    """Per object with its minimal covering sieve, skipping maximal ones:
+    (x, sieve, injective, bijective) for the canonical map from sections of
+    x to matching families over the sieve.
 
     The canonical map to families over the maximal sieve is always a
     bijection, injectivity at the minimal sieve implies injectivity at every
@@ -108,17 +109,16 @@ def _comparison_points(top: GrothendieckTopology):
         smin = minimal_cover(top, x)
         if smin.members == frozenset(top.base.arrows_into(x)):
             continue
-        yield x, smin
+        keys = {family_key(canonical_family(pre, smin, s)) for s in pre.value[x]}
+        injective = len(keys) == len(pre.value[x])
+        yield x, smin, injective, injective and keys == {
+            family_key(f) for f in _family_dicts(pre, smin)}
 
 
 def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
     """Sheaf / separated-not-sheaf / not-separated, with a witnessing cover."""
     first_nonbij: tuple[str, Sieve] | None = None
-    for x, smin in _comparison_points(top):
-        fams = {family_key(f) for f in _family_dicts(pre, smin)}
-        keys = [family_key(canonical_family(pre, smin, s)) for s in pre.value[x]]
-        injective = len(set(keys)) == len(keys)
-        bijective = injective and set(keys) == fams
+    for x, smin, injective, bijective in _sheaf_condition(pre, top):
         if not injective:
             return Classification("not-separated", first_nonbij or (x, smin))
         if not bijective and first_nonbij is None:
@@ -129,12 +129,7 @@ def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classifica
 
 
 def is_sheaf(pre: SetPresheaf, top: GrothendieckTopology) -> bool:
-    for x, smin in _comparison_points(top):
-        fams = {family_key(f) for f in _family_dicts(pre, smin)}
-        keys = {family_key(canonical_family(pre, smin, s)) for s in pre.value[x]}
-        if len(keys) != len(pre.value[x]) or keys != fams:
-            return False
-    return True
+    return all(bijective for _, _, _, bijective in _sheaf_condition(pre, top))
 
 
 @dataclass(frozen=True)
@@ -223,10 +218,21 @@ class TauIsoResult:
 
 def is_tau_iso(m: PresheafMorphism, top: GrothendieckTopology) -> TauIsoResult:
     """True iff the morphism becomes a componentwise bijection after
-    sheafification; on failure reports the first object where it breaks."""
-    sheafified = sheafify_morphism(m, top)
-    ok, witness = componentwise_bijection(sheafified)
-    return TauIsoResult(ok, witness)
+    sheafification, i.e. is locally surjective and locally injective."""
+    cat, src, tgt = m.source.cat, m.source, m.target
+    image = {o: set(m.components[o].values()) for o in cat.objects}
+    for x in cat.objects:
+        cover = minimal_cover(top, x).members
+        if any(tgt.restrict[f][t] not in image[cat.dom[f]]
+               for t in tgt.value[x] for f in cover):
+            return TauIsoResult(False, x)
+        fibres: dict[str, list[str]] = {}
+        for s in src.value[x]:
+            fibres.setdefault(m.components[x][s], []).append(s)
+        if any(src.restrict[f][s] != src.restrict[f][same[0]]
+               for same in fibres.values() for s in same[1:] for f in cover):
+            return TauIsoResult(False, x)
+    return TauIsoResult(True)
 
 
 def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -> SetPresheaf:

@@ -2,13 +2,13 @@
 
 Sieves are stored as explicit member sets (generators are forgotten after
 generation) and topologies store every covering sieve, including the upward
-closure: the lattices are tiny at this scale and comparison checks need
-exact cover-set equality.
+closure: comparison checks need exact cover-set equality. A topology on a
+finite category is fixed by its least covers, one per object: the covers of
+x are the sieves containing it. Each topology computes them once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import (
     PASS,
@@ -82,19 +82,13 @@ def pullback_sieve(cat: FiniteCategory, h: str, s: Sieve) -> Sieve:
 
 
 def all_sieves(cat: FiniteCategory, x: str) -> tuple[Sieve, ...]:
-    """The full sieve lattice on x, ordered by (size, members)."""
-    arrows = sorted(cat.arrows_into(x))
-    if len(arrows) > 16:
-        raise ValueError("sieve lattice too large to enumerate")
-    out = []
-    for r in range(len(arrows) + 1):
-        for sub in combinations(arrows, r):
-            chosen = set(sub)
-            if all(cat.compose(f, g) in chosen
-                   for f in chosen for g in cat.arrows_into(cat.dom[f])):
-                out.append(Sieve(x, frozenset(chosen)))
-    out.sort(key=Sieve.sort_key)
-    return tuple(out)
+    """The full sieve lattice on x, ordered by (size, members): every sieve
+    is the union of the principal sieves {f∘g} of its members."""
+    found = {frozenset()}
+    for f in cat.arrows_into(x):
+        principal = frozenset(cat.compose(f, g) for g in cat.arrows_into(cat.dom[f]))
+        found |= {s | principal for s in found}
+    return tuple(sorted((Sieve(x, s) for s in found), key=Sieve.sort_key))
 
 
 def sieve_presheaf(cat: FiniteCategory, s: Sieve) -> SetPresheaf:
@@ -116,6 +110,16 @@ def sieve_inclusion(cat: FiniteCategory, s: Sieve) -> PresheafMorphism:
 class GrothendieckTopology:
     base: FiniteCategory
     covers: dict[str, frozenset[Sieve]]
+
+    def __post_init__(self):
+        # least cover per object, or None when the covers of x are not
+        # closed under intersection (an invalid topology)
+        least = {}
+        for x, sieves in self.covers.items():
+            if sieves:
+                smin = Sieve(x, frozenset.intersection(*(s.members for s in sieves)))
+                least[x] = smin if smin in sieves else None
+        object.__setattr__(self, "_least", least)
 
     def covers_of(self, x: str) -> tuple[Sieve, ...]:
         return tuple(sorted(self.covers.get(x, frozenset()), key=Sieve.sort_key))
@@ -166,51 +170,46 @@ def saturate_topology(cat: FiniteCategory, generating) -> GrothendieckTopology:
     """Smallest topology whose covers include the sieves generated per object.
 
     ``generating`` maps object -> iterable of generator families (morphism
-    name lists). Runs the closure rules (maximal sieves, base-change
-    stability, local character) round-robin to a fixpoint; the sieve lattice
-    is finite, so this terminates.
+    name lists). The least cover J(x) starts at the intersection of the
+    generated sieves (the maximal sieve if there are none) and shrinks to a
+    fixpoint of stability, J(y) ∩= h*J(x) for h: y -> x, and local
+    character, J(x) = {f∘g : f in J(x), g in J(dom f)}. The covers of x are
+    then the sieves containing J(x).
     """
     objset = set(cat.objects)
     for x in generating:
         if x not in objset:
             raise ValueError(f"unknown object id: {x}")
-    covers: dict[str, set[Sieve]] = {o: set() for o in cat.objects}
+    least = {o: maximal_sieve(cat, o).members for o in cat.objects}
     for x, families in generating.items():
         for family in families:
-            covers[x].add(generate_sieve(cat, x, family))
-    for o in cat.objects:
-        covers[o].add(maximal_sieve(cat, o))
-    lattice = {o: all_sieves(cat, o) for o in cat.objects}
+            least[x] &= generate_sieve(cat, x, family).members
     changed = True
     while changed:
         changed = False
         for x in cat.objects:
-            for s in sorted(covers[x], key=Sieve.sort_key):
-                for h in cat.arrows_into(x):
-                    p = pullback_sieve(cat, h, s)
-                    if p not in covers[cat.dom[h]]:
-                        covers[cat.dom[h]].add(p)
-                        changed = True
-        for x in cat.objects:
-            for t in lattice[x]:
-                if t in covers[x]:
-                    continue
-                for s in sorted(covers[x], key=Sieve.sort_key):
-                    if all(pullback_sieve(cat, f, t) in covers[cat.dom[f]] for f in s.members):
-                        covers[x].add(t)
-                        changed = True
-                        break
-    return GrothendieckTopology(cat, {o: frozenset(v) for o, v in covers.items()})
+            for h in cat.arrows_into(x):
+                y = cat.dom[h]
+                kept = frozenset(g for g in least[y] if cat.compose(h, g) in least[x])
+                if kept != least[y]:
+                    least[y] = kept
+                    changed = True
+            local = frozenset(cat.compose(f, g) for f in least[x] for g in least[cat.dom[f]])
+            if local != least[x]:
+                least[x] = local
+                changed = True
+    return GrothendieckTopology(cat, {
+        o: frozenset(s for s in all_sieves(cat, o) if least[o] <= s.members)
+        for o in cat.objects
+    })
 
 
 def minimal_cover(top: GrothendieckTopology, x: str) -> Sieve:
-    """Intersection of all covering sieves on x; covers are closed under
-    intersection in a valid topology, so this is itself covering."""
-    sieves = top.covers.get(x)
-    if not sieves:
+    """The least covering sieve on x, computed once per topology; covers
+    are closed under intersection in a valid topology, so it is covering."""
+    if x not in top._least:
         raise ValueError(f"no covering sieves on {x}")
-    members = frozenset.intersection(*(s.members for s in sieves))
-    smin = Sieve(x, members)
-    if smin not in sieves:
+    smin = top._least[x]
+    if smin is None:
         raise ValueError(f"covers of {x} are not closed under intersection; topology invalid")
     return smin

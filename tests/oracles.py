@@ -4,19 +4,29 @@ These deliberately stay naive: full product enumerations filtered by the
 defining condition, with none of the propagation or minimal-sieve shortcuts
 the package itself uses. The Kan extensions along gamma are computed here by
 their generic formulas, the end and the coend, against which the package's
-closed forms are checked up to isomorphism.
+closed forms are checked up to isomorphism. The sieve lattice, saturation
+and the tau-iso test are computed here by subset enumeration, closure
+rules over the whole lattice and double sheafification, against which the
+package's least-cover forms are checked for equality.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from hosite import (
+    GrothendieckTopology,
     PresheafMorphism,
     SetPresheaf,
+    Sieve,
+    TauIsoResult,
     classify_presheaf,
     componentwise_bijection,
     gamma_star,
+    generate_sieve,
     hom_presheaves,
+    maximal_sieve,
+    pullback_sieve,
+    sheafify_morphism,
     yoneda,
 )
 from hosite.homotopy import HomotopyCategoryData
@@ -183,3 +193,68 @@ def isomorphic(f, g):
     if any(len(f.value[o]) != len(g.value[o]) for o in f.cat.objects):
         return False
     return any(componentwise_bijection(m)[0] for m in hom_presheaves(f, g))
+
+
+def all_sieves_by_subsets(cat, x: str) -> tuple[Sieve, ...]:
+    """The full sieve lattice on x, ordered by (size, members)."""
+    arrows = sorted(cat.arrows_into(x))
+    if len(arrows) > 16:
+        raise ValueError("sieve lattice too large to enumerate")
+    out = []
+    for r in range(len(arrows) + 1):
+        for sub in combinations(arrows, r):
+            chosen = set(sub)
+            if all(cat.compose(f, g) in chosen
+                   for f in chosen for g in cat.arrows_into(cat.dom[f])):
+                out.append(Sieve(x, frozenset(chosen)))
+    out.sort(key=Sieve.sort_key)
+    return tuple(out)
+
+
+def saturate_by_closure(cat, generating) -> GrothendieckTopology:
+    """Smallest topology whose covers include the sieves generated per object.
+
+    ``generating`` maps object -> iterable of generator families (morphism
+    name lists). Runs the closure rules (maximal sieves, base-change
+    stability, local character) round-robin to a fixpoint; the sieve lattice
+    is finite, so this terminates.
+    """
+    objset = set(cat.objects)
+    for x in generating:
+        if x not in objset:
+            raise ValueError(f"unknown object id: {x}")
+    covers: dict[str, set[Sieve]] = {o: set() for o in cat.objects}
+    for x, families in generating.items():
+        for family in families:
+            covers[x].add(generate_sieve(cat, x, family))
+    for o in cat.objects:
+        covers[o].add(maximal_sieve(cat, o))
+    lattice = {o: all_sieves_by_subsets(cat, o) for o in cat.objects}
+    changed = True
+    while changed:
+        changed = False
+        for x in cat.objects:
+            for s in sorted(covers[x], key=Sieve.sort_key):
+                for h in cat.arrows_into(x):
+                    p = pullback_sieve(cat, h, s)
+                    if p not in covers[cat.dom[h]]:
+                        covers[cat.dom[h]].add(p)
+                        changed = True
+        for x in cat.objects:
+            for t in lattice[x]:
+                if t in covers[x]:
+                    continue
+                for s in sorted(covers[x], key=Sieve.sort_key):
+                    if all(pullback_sieve(cat, f, t) in covers[cat.dom[f]] for f in s.members):
+                        covers[x].add(t)
+                        changed = True
+                        break
+    return GrothendieckTopology(cat, {o: frozenset(v) for o, v in covers.items()})
+
+
+def is_tau_iso_by_sheafification(m: PresheafMorphism, top) -> TauIsoResult:
+    """True iff the morphism becomes a componentwise bijection after
+    sheafification; on failure reports the first object where it breaks."""
+    sheafified = sheafify_morphism(m, top)
+    ok, witness = componentwise_bijection(sheafified)
+    return TauIsoResult(ok, witness)

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hosite
 from hosite import (
     CheckReport,
     CheckResult,
+    all_sieves,
     emit_report,
     fixture_doc,
     parse_site,
@@ -21,10 +24,15 @@ import hosite.induced as induced_mod
 from hosite.siteio import SiteLoadError
 
 
+# child interpreters import the same hosite as this one, installed or not
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(hosite.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args, tmp_path=None):
     proc = subprocess.run(
         [sys.executable, "-m", "hosite.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CLI_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -103,6 +111,31 @@ def test_parse_rejects_whisker_incompatible():
     }
     with pytest.raises(SiteLoadError, match="whisker"):
         parse_site(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bound", ["5", "-1"])
+def test_bound_outside_label_pool_is_load_error(fixture_files, capsys, bound):
+    assert main(["check-lemmas", fixture_files["B"], "--bound", bound]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("load error:")
+    assert "4 labels" in err
+
+
+def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys):
+    # the top object of an 18-object chain has 18 arrows into it
+    objects = [f"c{i}" for i in range(1, 19)]
+    doc = {
+        "objects": objects,
+        "morphisms": [{"name": f"a{i}_{j}", "dom": objects[i], "cod": objects[j]}
+                      for i in range(18) for j in range(i + 1, 18)],
+        "composition": {f"a{j}_{k}∘a{i}_{j}": f"a{i}_{k}"
+                        for i in range(18) for j in range(i + 1, 18) for k in range(j + 1, 18)},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_site(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert len(all_sieves(parse_site(serialize_site(doc)).category, "c18")) == 19
 
 
 def test_all_fixtures_self_validate(fixture_files):
@@ -236,7 +269,7 @@ def test_digest_ignores_formatting():
 def test_seed_env_override(fixture_files, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "hosite.cli", "induce", fixture_files["B"], "--json"],
-        capture_output=True, text=True, env={**os.environ, "HOSITE_SEED": "42"})
+        capture_output=True, text=True, env={**CLI_ENV, "HOSITE_SEED": "42"})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 42
 

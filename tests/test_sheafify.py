@@ -12,8 +12,10 @@ from hosite import (
     componentwise_bijection,
     constant_presheaf,
     empty_presheaf,
+    gamma_star_morphism,
     generate_sieve,
     hom_presheaves,
+    induced_topology,
     is_sheaf,
     is_tau_iso,
     make_presheaf,
@@ -30,7 +32,11 @@ from hosite import (
     yoneda,
 )
 from hosite.enumeration import enumerate_presheaves, sample_presheaves
-from oracles import assert_classification_agrees, matching_families_product
+from oracles import (
+    assert_classification_agrees,
+    is_tau_iso_by_sheafification,
+    matching_families_product,
+)
 
 
 def j_sieve(site_b):
@@ -182,6 +188,26 @@ def test_cover_criterion_on_all_fixtures(all_sites):
             for s in all_sieves(cat, x):
                 expected = s in top.covers[x]
                 assert bool(is_tau_iso(sieve_inclusion(cat, s), top)) == expected
+
+
+def test_is_tau_iso_agrees_with_sheafification(all_sites, random_sites):
+    for site in [*all_sites.values(), *random_sites[:20]]:
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top).induced
+        cases = []
+        for cat, t in ((h.base, top), (h.ho, induced)):
+            for x in cat.objects:
+                for s in all_sieves(cat, x):
+                    cases.append((sieve_inclusion(cat, s), t))
+                    if cat is h.ho:
+                        cases.append((gamma_star_morphism(h, cases[-1][0]), top))
+            sampled = sample_presheaves(cat, 2, 4, Random(5))
+            cases += [(sheafify(pre, t).unit, t) for pre in sampled]
+            for src in sampled:
+                for tgt in sampled:
+                    cases += [(m, t) for m in hom_presheaves(src, tgt)[:3]]
+        for m, t in cases:
+            assert bool(is_tau_iso(m, t)) == bool(is_tau_iso_by_sheafification(m, t))
 
 
 def test_universal_property_on_fixture_b(site_b):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from hosite import (
     validate_sieve,
     validate_topology,
 )
+from oracles import all_sieves_by_subsets, saturate_by_closure
 
 
 def test_generate_sieve_examples(site_b, site_d):
@@ -164,3 +167,26 @@ def test_random_saturation_idempotent(seed):
         {x: [sorted(s.members) for s in top.covers_of(x)] for x in top.base.objects},
     )
     assert regenerated == top
+
+
+def test_all_sieves_agrees_with_subsets(all_sites, random_sites):
+    for site in [*all_sites.values(), *random_sites]:
+        for cat in (site.category, site.homotopy.ho):
+            for x in cat.objects:
+                assert all_sieves(cat, x) == all_sieves_by_subsets(cat, x)
+
+
+def test_saturation_agrees_with_closure(all_sites, random_sites):
+    rng = Random(3)
+    for site in [*all_sites.values(), *random_sites]:
+        assert saturate_topology(site.category, site.raw["covers"]) == \
+            saturate_by_closure(site.category, site.raw["covers"])
+        for cat in (site.category, site.homotopy.ho):
+            for _ in range(4):
+                generating = {}
+                for x in cat.objects:
+                    if rng.random() < 0.5:
+                        arrows = cat.arrows_into(x)
+                        generating[x] = [rng.sample(arrows, rng.randint(0, len(arrows)))
+                                         for _ in range(rng.randint(1, 2))]
+                assert saturate_topology(cat, generating) == saturate_by_closure(cat, generating)
