@@ -82,7 +82,10 @@ def _parse_sieve_flag(site: SiteDocument, arg: str) -> Sieve:
         raise SiteLoadError("load error: --sieve expects 'f1,f2@object'")
     names, root = arg.rsplit("@", 1)
     generators = [n for n in names.split(",") if n]
-    return generate_sieve(site.category, root, generators)
+    try:
+        return generate_sieve(site.category, root, generators)
+    except ValueError as exc:
+        raise SiteLoadError(f"load error: --sieve {arg}: {exc}") from None
 
 
 def _cmd_thicken(site: SiteDocument, args) -> list[CheckResult]:
@@ -125,6 +128,9 @@ def _cmd_check_lemmas(site: SiteDocument, args) -> list[CheckResult]:
     if not 0 <= args.bound <= len(LABELS):
         raise SiteLoadError(f"load error: --bound {args.bound} is outside 0..{len(LABELS)} "
                             f"(the value label pool has {len(LABELS)} labels)")
+    for flag, n, low in (("--random-sites", args.random_sites, 0), ("--workers", args.workers, 1)):
+        if n < low:
+            raise SiteLoadError(f"load error: {flag} {n} is below {low}")
     checks = run_site_suite(site, bound=args.bound, seed=args.seed)
     if args.random_sites:
         population = run_population(count=args.random_sites, base_seed=args.seed,

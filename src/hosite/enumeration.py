@@ -15,8 +15,8 @@ def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPres
     canonical labels. Backtracks over the non-identity restriction maps and
     checks each contravariance constraint as soon as its participants are
     assigned."""
-    if max_card > len(LABELS):
-        raise ValueError(f"value bound {max_card} exceeds the label pool")
+    if not 0 <= max_card <= len(LABELS):
+        raise ValueError(f"value bound {max_card} is outside 0..{len(LABELS)}")
     objs = cat.objects
     nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
     midx = {m: i for i, m in enumerate(nonid)}

@@ -1,23 +1,27 @@
 """Matching families, the plus-construction, and sheafification.
 
-Everything here reads the topology through its least covers
-(``minimal_cover``). The plus-construction is the filtered colimit, over
-covering sieves ordered by reverse inclusion, of matching families; that
-poset has the least cover as its maximum, so the colimit is computed there:
-classes are named by their restriction to it and compared literally.
-``plus_construction_via_colimit`` keeps the general construction alive as
-an independent oracle. ``is_tau_iso`` is the local-isomorphism test: m: F -> G
-sheafifies to an iso iff, with J the least cover of each x, every G(f)t for
-t in G(x), f in J lies in the image of m, and sections of F(x) with the same
-image agree along every f in J. Its witness is the first object, in
-declaration order, where either check fails.
+Everything here reads the topology through its least covers, laid out once
+per topology in a cover plan (``SievePlan``). At the least cover J of x,
+restriction of P(x) to families over J is tested for injectivity on tuples of
+sections; every canonical family matches, so an injective map is onto iff
+there are no more matching families than |P(x)| (the count stops past it).
+The plus-construction is the filtered colimit, over covering sieves ordered
+by reverse inclusion, of matching families; that poset has the least cover as
+its maximum, so the colimit is computed there: classes are named by their
+restriction to it and compared literally. ``plus_construction_via_colimit``
+keeps the general construction alive as an independent oracle. ``is_tau_iso``
+is the local-isomorphism test: m: F -> G sheafifies to an iso iff, with J the
+least cover of each x, every G(f)t for t in G(x), f in J lies in the image of
+m, and sections of F(x) with the same image agree along every f in J. Its
+witness is the first object, in declaration order, where either check fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
-from .sieves import GrothendieckTopology, Sieve, minimal_cover, pullback_sieve
+from .sieves import GrothendieckTopology, Sieve, SievePlan, minimal_cover, pullback_sieve, sieve_plan
 from .util import UnionFind
 
 
@@ -32,35 +36,26 @@ class MatchingFamily:
         return dict(self.assignment)
 
 
-def _family_dicts(pre: SetPresheaf, s: Sieve) -> list[dict[str, str]]:
-    """All compatible families over s, enumerated by backtracking."""
-    cat = pre.cat
-    members = sorted(s.members)
-    idx = {m: i for i, m in enumerate(members)}
-    triggers: list[list[tuple[str, str, str]]] = [[] for _ in members]
-    for f in members:
-        for g in cat.arrows_into(cat.dom[f]):
-            if cat.is_identity(g):
-                continue
-            fg = cat.compose(f, g)
-            triggers[max(idx[f], idx[fg])].append((f, g, fg))
-
-    out: list[dict[str, str]] = []
-    cur: dict[str, str] = {}
+def _families(pre: SetPresheaf, plan: SievePlan):
+    """The matching families over the planned sieve, each once, as tuples of
+    sections aligned with ``plan.members``, by backtracking."""
+    restrict, value = pre.restrict, pre.value
+    cur: list[str] = [""] * len(plan.members)
 
     def rec(i: int):
-        if i == len(members):
-            out.append(dict(cur))
+        if i == len(cur):
+            yield tuple(cur)
             return
-        m = members[i]
-        for e in pre.value[cat.dom[m]]:
-            cur[m] = e
-            if all(pre.restrict[g][cur[f]] == cur[fg] for f, g, fg in triggers[i]):
-                rec(i + 1)
-        cur.pop(m, None)
+        for e in value[plan.doms[i]]:
+            cur[i] = e
+            if all(restrict[g][cur[f]] == cur[fg] for g, f, fg in plan.triggers[i]):
+                yield from rec(i + 1)
 
-    rec(0)
-    return out
+    return rec(0)
+
+
+def _family_dicts(pre: SetPresheaf, plan: SievePlan) -> list[dict[str, str]]:
+    return [dict(zip(plan.members, fam)) for fam in _families(pre, plan)]
 
 
 def family_key(fam: dict[str, str]) -> str:
@@ -71,7 +66,7 @@ def matching_families(pre: SetPresheaf, s: Sieve) -> tuple[MatchingFamily, ...]:
     """All matching families for the presheaf over the sieve."""
     if s.root not in set(pre.cat.objects):
         raise ValueError(f"unknown object id: {s.root}")
-    fams = _family_dicts(pre, s)
+    fams = _family_dicts(pre, sieve_plan(pre.cat, s))
     return tuple(MatchingFamily(s, tuple(sorted(f.items()))) for f in fams)
 
 
@@ -105,14 +100,14 @@ def _sheaf_condition(pre: SetPresheaf, top: GrothendieckTopology):
     gives the full sheaf condition, so the minimal sieves decide the
     classification for every cover at once.
     """
-    for x in top.base.objects:
-        smin = minimal_cover(top, x)
-        if smin.members == frozenset(top.base.arrows_into(x)):
+    for x, plan in top._cover_plan.items():
+        if len(plan.members) == len(top.base.arrows_into(x)):
             continue
-        keys = {family_key(canonical_family(pre, smin, s)) for s in pre.value[x]}
-        injective = len(keys) == len(pre.value[x])
-        yield x, smin, injective, injective and keys == {
-            family_key(f) for f in _family_dicts(pre, smin)}
+        sections = pre.value[x]
+        tables = [pre.restrict[f] for f in plan.members]
+        injective = len({tuple([t[s] for t in tables]) for s in sections}) == len(sections)
+        yield x, plan.sieve, injective, injective and len(sections) == sum(
+            1 for _ in islice(_families(pre, plan), len(sections) + 1))
 
 
 def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
@@ -137,16 +132,15 @@ class _PlusData:
     presheaf: SetPresheaf
     unit: PresheafMorphism
     families: dict[str, dict[str, dict[str, str]]]  # object -> element id -> family
-    minimal: dict[str, Sieve]
 
 
 def _plus(pre: SetPresheaf, top: GrothendieckTopology) -> _PlusData:
     cat = pre.cat
-    minimal = {x: minimal_cover(top, x) for x in cat.objects}
+    plans = top._cover_plan
     families: dict[str, dict[str, dict[str, str]]] = {}
     value: dict[str, tuple[str, ...]] = {}
     for x in cat.objects:
-        fams = {family_key(f): f for f in _family_dicts(pre, minimal[x])}
+        fams = {family_key(f): f for f in _family_dicts(pre, plans[x])}
         families[x] = fams
         value[x] = tuple(sorted(fams))
     restrict: dict[str, dict[str, str]] = {}
@@ -158,14 +152,14 @@ def _plus(pre: SetPresheaf, top: GrothendieckTopology) -> _PlusData:
         table = {}
         for e, fam in families[x].items():
             # minimal(y) is contained in the pullback of minimal(x) along h
-            table[e] = family_key({g: fam[cat.compose(h, g)] for g in minimal[y].members})
+            table[e] = family_key({g: fam[cat.compose(h, g)] for g in plans[y].members})
         restrict[h] = table
     plus = SetPresheaf(cat, value, restrict)
     unit = PresheafMorphism(pre, plus, {
-        x: {s: family_key(canonical_family(pre, minimal[x], s)) for s in pre.value[x]}
+        x: {s: family_key(canonical_family(pre, plans[x].sieve, s)) for s in pre.value[x]}
         for x in cat.objects
     })
-    return _PlusData(plus, unit, families, minimal)
+    return _PlusData(plus, unit, families)
 
 
 def _plus_morphism(m: PresheafMorphism, src: _PlusData, tgt: _PlusData) -> PresheafMorphism:
@@ -252,7 +246,7 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
     for x in cat.objects:
         pairs = {}
         for s in sorted(top.covers[x], key=Sieve.sort_key):
-            for fam in _family_dicts(pre, s):
+            for fam in _family_dicts(pre, sieve_plan(cat, s)):
                 pairs[(s, family_key(fam))] = fam
         uf = UnionFind(pairs)
         keys = sorted(pairs, key=lambda k: (k[0].sort_key(), k[1]))
@@ -277,7 +271,7 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
                 names[k] = name
         class_of[x] = names
         pair_fams[x] = pairs
-        expected = {family_key(f) for f in _family_dicts(pre, minimal[x])}
+        expected = {family_key(f) for f in _family_dicts(pre, top._cover_plan[x])}
         if set(names.values()) != expected:
             raise ValueError(f"colimit classes on {x} do not exhaust the minimal-sieve families")
         value[x] = tuple(sorted(set(names.values())))

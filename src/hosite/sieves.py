@@ -9,6 +9,8 @@ x are the sieves containing it. Each topology computes them once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     PASS,
@@ -81,6 +83,30 @@ def pullback_sieve(cat: FiniteCategory, h: str, s: Sieve) -> Sieve:
     return Sieve(y, frozenset(g for g in cat.arrows_into(y) if cat.compose(h, g) in s.members))
 
 
+class SievePlan(NamedTuple):
+    """A sieve laid out for enumerating matching families: its sorted members,
+    their domains, and per member index i the checks (g, i_f, i_fg),
+    restrict[g](s_f) == s_{f∘g}, decidable once member i is assigned."""
+
+    sieve: Sieve
+    members: tuple[str, ...]
+    doms: tuple[str, ...]
+    triggers: list[list[tuple[str, int, int]]]
+
+
+def sieve_plan(cat: FiniteCategory, s: Sieve) -> SievePlan:
+    members = tuple(sorted(s.members))
+    doms = tuple([cat.dom[f] for f in members])
+    idx = {m: i for i, m in enumerate(members)}
+    triggers: list[list[tuple[str, int, int]]] = [[] for _ in members]
+    for i_f, f in enumerate(members):
+        for g in cat.arrows_into(doms[i_f]):
+            if not cat.is_identity(g):
+                i_fg = idx[cat.compose(f, g)]
+                triggers[max(i_f, i_fg)].append((g, i_f, i_fg))
+    return SievePlan(s, members, doms, triggers)
+
+
 def all_sieves(cat: FiniteCategory, x: str) -> tuple[Sieve, ...]:
     """The full sieve lattice on x, ordered by (size, members): every sieve
     is the union of the principal sieves {f∘g} of its members."""
@@ -123,6 +149,10 @@ class GrothendieckTopology:
 
     def covers_of(self, x: str) -> tuple[Sieve, ...]:
         return tuple(sorted(self.covers.get(x, frozenset()), key=Sieve.sort_key))
+
+    @cached_property
+    def _cover_plan(self) -> dict[str, SievePlan]:
+        return {x: sieve_plan(self.base, minimal_cover(self, x)) for x in self.base.objects}
 
 
 def trivial_topology(cat: FiniteCategory) -> GrothendieckTopology:

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from hosite import fixture_site, random_site
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples and stores none, so a failure replays
+# exactly; the constants hypothesis caches from the source go to a directory
+# removed at exit, so nothing is written to .hypothesis/
+settings.register_profile("replay", derandomize=True, database=None, max_examples=100,
+                          deadline=None)
+settings.load_profile("replay")
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _hypothesis_home.name)
 
 
 @pytest.fixture(scope="session")

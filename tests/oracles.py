@@ -7,13 +7,17 @@ their generic formulas, the end and the coend, against which the package's
 closed forms are checked up to isomorphism. The sieve lattice, saturation
 and the tau-iso test are computed here by subset enumeration, closure
 rules over the whole lattice and double sheafification, against which the
-package's least-cover forms are checked for equality.
+package's least-cover forms are checked for equality. The sheaf condition is
+decided here by comparing the string keys of the canonical families with
+those of every matching family, against which the package's tuple-and-count
+test is checked.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
 
 from hosite import (
+    Classification,
     GrothendieckTopology,
     PresheafMorphism,
     SetPresheaf,
@@ -25,11 +29,14 @@ from hosite import (
     generate_sieve,
     hom_presheaves,
     maximal_sieve,
+    minimal_cover,
     pullback_sieve,
     sheafify_morphism,
     yoneda,
 )
 from hosite.homotopy import HomotopyCategoryData
+from hosite.sheafify import _family_dicts, canonical_family, family_key
+from hosite.sieves import sieve_plan
 from hosite.util import UnionFind
 
 
@@ -258,3 +265,37 @@ def is_tau_iso_by_sheafification(m: PresheafMorphism, top) -> TauIsoResult:
     sheafified = sheafify_morphism(m, top)
     ok, witness = componentwise_bijection(sheafified)
     return TauIsoResult(ok, witness)
+
+
+def sheaf_condition_by_families(pre: SetPresheaf, top: GrothendieckTopology):
+    """Per object with its minimal covering sieve, skipping maximal ones:
+    (x, sieve, injective, bijective) for the canonical map from sections of
+    x to matching families over the sieve.
+
+    The canonical map to families over the maximal sieve is always a
+    bijection, injectivity at the minimal sieve implies injectivity at every
+    larger cover, and bijectivity at the minimal sieves plus separatedness
+    gives the full sheaf condition, so the minimal sieves decide the
+    classification for every cover at once.
+    """
+    for x in top.base.objects:
+        smin = minimal_cover(top, x)
+        if smin.members == frozenset(top.base.arrows_into(x)):
+            continue
+        keys = {family_key(canonical_family(pre, smin, s)) for s in pre.value[x]}
+        injective = len(keys) == len(pre.value[x])
+        yield x, smin, injective, injective and keys == {
+            family_key(f) for f in _family_dicts(pre, sieve_plan(top.base, smin))}
+
+
+def classify_by_families(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
+    """classify_presheaf, read off sheaf_condition_by_families."""
+    first_nonbij = None
+    for x, smin, injective, bijective in sheaf_condition_by_families(pre, top):
+        if not injective:
+            return Classification("not-separated", first_nonbij or (x, smin))
+        if not bijective and first_nonbij is None:
+            first_nonbij = (x, smin)
+    if first_nonbij is not None:
+        return Classification("separated-not-sheaf", first_nonbij)
+    return Classification("sheaf")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import hosite
 from hosite import (
+    FIXTURE_NAMES,
     CheckReport,
     CheckResult,
     all_sieves,
@@ -121,6 +125,20 @@ def test_bound_outside_label_pool_is_load_error(fixture_files, capsys, bound):
     assert "4 labels" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--random-sites", "-2"), ("--workers", "0")])
+def test_count_below_range_is_load_error(fixture_files, capsys, flag, value):
+    assert main(["check-lemmas", fixture_files["B"], flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"load error: {flag} {value}")
+
+
+@pytest.mark.parametrize("sieve", ["f1@nope", "f1@x"])
+def test_thicken_bad_sieve_is_load_error(fixture_files, capsys, sieve):
+    # an unknown root, and a generator whose codomain is not the root
+    assert main(["thicken", fixture_files["B"], "--sieve", sieve]) == 1
+    assert capsys.readouterr().err.startswith(f"load error: --sieve {sieve}: ")
+
+
 def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys):
     # the top object of an 18-object chain has 18 arrows into it
     objects = [f"c{i}" for i in range(1, 19)]
@@ -206,6 +224,68 @@ def test_malformed_document_is_load_error(tmp_path, doc):
     assert code == 1
     assert err.startswith("load error: ")
     assert "Traceback" not in err
+
+
+def _paths(node, prefix=()):
+    """The path of every node below ``node``, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for k, v in items:
+        out += [prefix + (k,), *_paths(v, prefix + (k,))]
+    return out
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _unknown(name: str) -> str:
+    # composition keys name two morphisms; keep the separator so both are looked up
+    return "nope∘" + name.split("∘", 1)[1] if "∘" in name else "nope"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+
+@given(name=st.sampled_from(FIXTURE_NAMES),
+       op=st.sampled_from(["drop-key", "retype", "unknown-value", "unknown-key"]),
+       pick=st.integers(min_value=0, max_value=10**6),
+       new=st.sampled_from([0, 1.5, None, True, "s", [], {}, [1], {"k": 1}, [["x"]]]))
+def test_mutated_document_is_never_an_internal_error(fuzz_path, name, op, pick, new):
+    doc = json.loads(serialize_site(fixture_doc(name)))
+    if op == "unknown-value":
+        paths = [p for p in _paths(doc) if isinstance(_get(doc, p), str)]
+    elif op == "retype":
+        paths = _paths(doc)
+    else:
+        paths = [p for p in _paths(doc) if isinstance(p[-1], str)]
+    path = paths[pick % len(paths)]
+    parent, key = _get(doc, path[:-1]), path[-1]
+    if op == "drop-key":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = new
+    elif op == "unknown-value":
+        parent[key] = _unknown(parent[key])
+    else:
+        parent[_unknown(key)] = parent.pop(key)
+    fuzz_path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(fuzz_path)])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("load error:")
 
 
 def test_fixture_verb_round_trips(tmp_path):

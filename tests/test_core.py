@@ -11,12 +11,14 @@ from hosite import (
     hom_presheaves,
     make_category,
     make_presheaf,
+    run_site_suite,
     sieve_presheaf,
     generate_sieve,
     validate_category,
     validate_presheaf,
     yoneda,
 )
+from hosite.enumeration import enumerate_presheaves
 from oracles import hom_product_filter
 
 
@@ -161,3 +163,12 @@ def test_operation_outputs_pass_their_validators(all_sites):
 def test_categories_are_frozen(site_b):
     with pytest.raises(dataclasses.FrozenInstanceError):
         site_b.category.objects = ()
+
+
+@pytest.mark.parametrize("bound", [-1, 5])
+def test_value_bound_outside_label_pool_raises(site_b, bound):
+    # a negative bound used to enumerate nothing, so the suite passed vacuously
+    with pytest.raises(ValueError, match=f"value bound {bound} is outside"):
+        next(enumerate_presheaves(site_b.category, bound))
+    with pytest.raises(ValueError, match=f"value bound {bound} is outside"):
+        run_site_suite(site_b, bound=bound)

@@ -34,6 +34,7 @@ from hosite import (
 from hosite.enumeration import enumerate_presheaves, sample_presheaves
 from oracles import (
     assert_classification_agrees,
+    classify_by_families,
     is_tau_iso_by_sheafification,
     matching_families_product,
 )
@@ -125,6 +126,24 @@ def test_classification_oracle_on_random_sites():
         site = random_site(seed)
         for pre in sample_presheaves(site.category, 2, 6, Random(seed)):
             assert_classification_agrees(pre, site.topology)
+
+
+def test_sheaf_test_agrees_with_family_keys(all_sites, random_sites):
+    # bound 2 on every fixture and random sites 0-49, bound 3 on B and E;
+    # base with its topology and quotient with the induced one
+    cases = [(site, 2) for site in [*all_sites.values(), *random_sites]]
+    cases += [(all_sites["B"], 3), (all_sites["E"], 3)]
+    checked = 0
+    for site, bound in cases:
+        h = site.homotopy
+        induced = induced_topology(h, site.topology).induced
+        for cat, top in ((h.base, site.topology), (h.ho, induced)):
+            for pre in enumerate_presheaves(cat, bound):
+                expected = classify_by_families(pre, top)
+                assert classify_presheaf(pre, top) == expected, (pre.value, pre.restrict)
+                assert is_sheaf(pre, top) == expected.is_sheaf
+                checked += 1
+    assert checked == 10444
 
 
 def test_plus_counts(site_b, site_d):
