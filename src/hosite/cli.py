@@ -25,11 +25,14 @@ from .siteio import SiteDocument, SiteLoadError, parse_site, serialize_site
 from .suite import run_population, run_site_suite, summarize_population
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("HOSITE_SEED", "0"))
-    except ValueError:
-        return 0
+def _resolve_seed(args) -> None:
+    """--seed, else HOSITE_SEED (a malformed value is a load error), else 0."""
+    if args.seed is None:
+        text = os.environ.get("HOSITE_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise SiteLoadError(f"load error: HOSITE_SEED={text!r} is not an integer") from None
 
 
 def _read_site(path: str) -> SiteDocument:
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_site_verb(name, **extra):
         p = sub.add_parser(name)
         p.add_argument("site", help="site file path, or - for stdin")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int)
         p.add_argument("--json", action="store_true")
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
@@ -212,6 +215,7 @@ def main(argv=None) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
         return 0
     try:
+        _resolve_seed(args)
         site = _read_site(args.site)
     except (SiteLoadError, OSError) as exc:
         print(str(exc), file=sys.stderr)

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 from itertools import product
 from random import Random
-from typing import Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .core import FiniteCategory, SetPresheaf
 
 LABELS = ("s0", "s1", "s2", "s3")
+T = TypeVar("T")
 
 
 def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPresheaf]:
@@ -65,14 +66,22 @@ def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPres
         yield from rec(0)
 
 
-def sample_presheaves(cat: FiniteCategory, max_card: int, k: int, rng: Random) -> list[SetPresheaf]:
-    """Reservoir-sample k presheaves from the full enumeration."""
-    reservoir: list[SetPresheaf] = []
-    for i, pre in enumerate(enumerate_presheaves(cat, max_card)):
-        if len(reservoir) < k:
-            reservoir.append(pre)
+def reservoir(items: Iterable[T], k: int, rng: Random, sample: list[T]) -> Iterator[T]:
+    """Yield every item; once they are exhausted, ``sample`` holds k of them
+    drawn uniformly (item i >= k takes slot ``rng.randint(0, i)`` if below k)."""
+    for i, item in enumerate(items):
+        if i < k:
+            sample.append(item)
         else:
             j = rng.randint(0, i)
             if j < k:
-                reservoir[j] = pre
-    return reservoir
+                sample[j] = item
+        yield item
+
+
+def sample_presheaves(cat: FiniteCategory, max_card: int, k: int, rng: Random) -> list[SetPresheaf]:
+    """Reservoir-sample k presheaves from the full enumeration."""
+    sample: list[SetPresheaf] = []
+    for _ in reservoir(enumerate_presheaves(cat, max_card), k, rng, sample):
+        pass
+    return sample

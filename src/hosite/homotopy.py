@@ -86,12 +86,14 @@ class HomotopyCategoryData:
     """The quotient category together with the localization assignment.
 
     gamma is identity on objects and surjective on morphisms; its fibers are
-    exactly the edge-generated equivalence classes.
+    exactly the edge-generated equivalence classes; rep maps each class to
+    its least member, which names it.
     """
 
     base: FiniteCategory
     ho: FiniteCategory
     gamma: dict[str, str]
+    rep: dict[str, str]
 
 
 def homotopy_category(enr: EnrichedCategory) -> HomotopyCategoryData:
@@ -128,7 +130,7 @@ def homotopy_category(enr: EnrichedCategory) -> HomotopyCategoryData:
             if cod[qf] == dom[qg]:
                 composition[(qg, qf)] = gamma[cat.compose(reps[qg], reps[qf])]
     ho = FiniteCategory(cat.objects, tuple(names), dom, cod, identity, composition)
-    return HomotopyCategoryData(cat, ho, gamma)
+    return HomotopyCategoryData(cat, ho, gamma, reps)
 
 
 def gamma_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
@@ -144,23 +146,14 @@ def gamma_star_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> Preshea
                             {o: dict(m.components[o]) for o in h.base.objects})
 
 
-def _representatives(h: HomotopyCategoryData) -> dict[str, str]:
-    """One base morphism per quotient morphism (the first declared)."""
-    rep: dict[str, str] = {}
-    for m in h.base.morphisms:
-        rep.setdefault(h.gamma[m], m)
-    return rep
-
-
 def _shriek(h: HomotopyCategoryData, pre: SetPresheaf):
     """gamma_! of pre, together with the class of every section."""
     if pre.cat != h.base:
         raise ValueError("presheaf does not live over the base category")
     base, ho = h.base, h.ho
-    rep = _representatives(h)
     uf = {z: UnionFind(pre.value[z]) for z in base.objects}
     for f in base.morphisms:
-        moved, by_rep = pre.restrict[f], pre.restrict[rep[h.gamma[f]]]
+        moved, by_rep = pre.restrict[f], pre.restrict[h.rep[h.gamma[f]]]
         for s in pre.value[base.cod[f]]:
             uf[base.dom[f]].union(moved[s], by_rep[s])
     cls = {
@@ -169,7 +162,7 @@ def _shriek(h: HomotopyCategoryData, pre: SetPresheaf):
     }
     value = {z: tuple(sorted(set(cls[z].values()))) for z in ho.objects}
     restrict = {
-        q: {c: cls[ho.dom[q]][pre.restrict[rep[q]][c]] for c in value[ho.cod[q]]}
+        q: {c: cls[ho.dom[q]][pre.restrict[h.rep[q]][c]] for c in value[ho.cod[q]]}
         for q in ho.morphisms
     }
     return SetPresheaf(ho, value, restrict), cls
@@ -199,16 +192,15 @@ def gamma_lower_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
     if pre.cat != h.base:
         raise ValueError("presheaf does not live over the base category")
     base, ho = h.base, h.ho
-    rep = _representatives(h)
     value = {
         z: tuple(sorted(
             s for s in pre.value[z]
-            if all(pre.restrict[f][s] == pre.restrict[rep[h.gamma[f]]][s]
+            if all(pre.restrict[f][s] == pre.restrict[h.rep[h.gamma[f]]][s]
                    for f in base.arrows_into(z))))
         for z in ho.objects
     }
     restrict = {
-        q: {s: pre.restrict[rep[q]][s] for s in value[ho.cod[q]]}
+        q: {s: pre.restrict[h.rep[q]][s] for s in value[ho.cod[q]]}
         for q in ho.morphisms
     }
     return SetPresheaf(ho, value, restrict)

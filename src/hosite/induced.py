@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Iterable
 
 from .core import SetPresheaf, hom_presheaves
-from .enumeration import enumerate_presheaves
+from .enumeration import enumerate_presheaves, reservoir
 from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star, gamma_star_morphism
 from .report import CheckResult
 from .sheafify import classify_presheaf, is_sheaf, is_tau_iso, matching_families
@@ -53,15 +54,10 @@ def thicken_sieve(h: HomotopyCategoryData, j: Sieve) -> Sieve:
         f for f in h.base.arrows_into(j.root) if h.gamma[f] in bracket.members))
 
 
-def _gamma_star_inclusion(h: HomotopyCategoryData, u: Sieve):
-    incl = sieve_inclusion(h.ho, u)
-    return gamma_star_morphism(h, incl)
-
-
 def is_bracket_cover(h: HomotopyCategoryData, top: GrothendieckTopology, u: Sieve) -> bool:
     """Covering test for a sieve on the quotient: pull the inclusion back to
     the base and ask whether it is a local isomorphism there."""
-    return bool(is_tau_iso(_gamma_star_inclusion(h, u), top))
+    return bool(is_tau_iso(gamma_star_morphism(h, sieve_inclusion(h.ho, u)), top))
 
 
 @dataclass(frozen=True)
@@ -148,11 +144,9 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     # single pass over quotient presheaves for (b), (c) and the (a) reservoir
     implication_cases = 0
     witness: dict | None = None
-    reservoir: list[SetPresheaf] = []
+    sample: list[SetPresheaf] = []
     b_fail: CheckResult | None = None
-    seen = 0
-    for pre in enumerate_presheaves(ho, bound):
-        seen += 1
+    for pre in reservoir(enumerate_presheaves(ho, bound), 10, rng, sample):
         cls_ho = classify_presheaf(pre, induced)
         pulled = gamma_star(h, pre)
         cls_base = classify_presheaf(pulled, top)
@@ -178,12 +172,6 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
                 "sections": len(pulled.value[wx]),
                 "families": len(matching_families(pulled, wsieve)),
             }
-        if len(reservoir) < 10:
-            reservoir.append(pre)
-        else:
-            k = rng.randint(0, seen - 1)
-            if k < 10:
-                reservoir[k] = pre
 
     # (a): sampled morphisms plus every sieve inclusion
     iso_cases = 0
@@ -192,9 +180,9 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     for x in ho.objects:
         for u in all_sieves(ho, x):
             morphisms.append(sieve_inclusion(ho, u))
-    for _ in range(min(6, len(reservoir) ** 2)):
-        src = rng.choice(reservoir)
-        tgt = rng.choice(reservoir)
+    for _ in range(min(6, len(sample) ** 2)):
+        src = rng.choice(sample)
+        tgt = rng.choice(sample)
         morphisms.extend(hom_presheaves(src, tgt)[:12])
     for m in morphisms:
         left = bool(is_tau_iso(m, induced))
@@ -266,19 +254,22 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
 
 
 def check_sheaf_transfer(h: HomotopyCategoryData, top: GrothendieckTopology,
-                         induced: GrothendieckTopology, bound: int = 2) -> CheckResult:
-    """The right Kan extension must send every base sheaf to an induced sheaf."""
+                         induced: GrothendieckTopology,
+                         presheaves: Iterable[SetPresheaf]) -> CheckResult:
+    """The right Kan extension must send every base sheaf among the presheaves
+    to an induced sheaf. Reads them all and reports the first failure."""
     sheaves = 0
-    for pre in enumerate_presheaves(h.base, bound):
+    fail: CheckResult | None = None
+    for pre in presheaves:
         if not is_sheaf(pre, top):
             continue
         sheaves += 1
         pushed = gamma_lower_star(h, pre)
-        if not is_sheaf(pushed, induced):
-            return CheckResult(
+        if fail is None and not is_sheaf(pushed, induced):
+            fail = CheckResult(
                 "sheaf-transfer", "fail",
                 "right Kan extension of a sheaf is not a sheaf",
                 counterexample={"presheaf": _presheaf_payload(pre),
                                 "image": _presheaf_payload(pushed)})
-    return CheckResult("sheaf-transfer", "pass",
-                       f"{sheaves} sheaves transferred", data={"sheaves": sheaves})
+    return fail or CheckResult("sheaf-transfer", "pass",
+                               f"{sheaves} sheaves transferred", data={"sheaves": sheaves})

@@ -17,7 +17,7 @@ witness is the first object, in declaration order, where either check fails.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
@@ -31,9 +31,6 @@ class MatchingFamily:
 
     sieve: Sieve
     assignment: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.assignment)
 
 
 def _families(pre: SetPresheaf, plan: SievePlan):
@@ -182,6 +179,8 @@ def plus_construction(pre: SetPresheaf, top: GrothendieckTopology) -> SetPreshea
 class SheafificationResult:
     sheaf: SetPresheaf
     unit: PresheafMorphism
+    # the two plus steps P+ and P++, kept to transport morphisms
+    steps: tuple[_PlusData, _PlusData] = field(compare=False, repr=False)
 
 
 def sheafify(pre: SetPresheaf, top: GrothendieckTopology) -> SheafificationResult:
@@ -190,15 +189,20 @@ def sheafify(pre: SetPresheaf, top: GrothendieckTopology) -> SheafificationResul
     sheaves."""
     d1 = _plus(pre, top)
     d2 = _plus(d1.presheaf, top)
-    return SheafificationResult(d2.presheaf, compose_morphisms(d2.unit, d1.unit))
+    return SheafificationResult(d2.presheaf, compose_morphisms(d2.unit, d1.unit), (d1, d2))
+
+
+def transport_morphism(m: PresheafMorphism, source: SheafificationResult,
+                       target: SheafificationResult) -> PresheafMorphism:
+    """The sheafification of m: m.source -> m.target, given the
+    sheafifications of its source and target, through both plus steps."""
+    m1 = _plus_morphism(m, source.steps[0], target.steps[0])
+    return _plus_morphism(m1, source.steps[1], target.steps[1])
 
 
 def sheafify_morphism(m: PresheafMorphism, top: GrothendieckTopology) -> PresheafMorphism:
     """Transport a presheaf morphism through both plus steps."""
-    s1, t1 = _plus(m.source, top), _plus(m.target, top)
-    m1 = _plus_morphism(m, s1, t1)
-    s2, t2 = _plus(s1.presheaf, top), _plus(t1.presheaf, top)
-    return _plus_morphism(m1, s2, t2)
+    return transport_morphism(m, sheafify(m.source, top), sheafify(m.target, top))
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,18 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from itertools import pairwise, repeat
 from random import Random
 
 from .core import (
     PresheafMorphism,
+    SetPresheaf,
     componentwise_bijection,
     equalizer_presheaf,
     hom_presheaves,
     product_presheaf,
 )
-from .enumeration import sample_presheaves
+from .enumeration import enumerate_presheaves, reservoir
 from .induced import (
     TheoremViolation,
     check_comparison_lemmas,
@@ -23,10 +25,9 @@ from .report import CheckResult
 from .sheafify import (
     classify_presheaf,
     is_tau_iso,
-    plus_construction,
     plus_construction_via_colimit,
     sheafify,
-    sheafify_morphism,
+    transport_morphism,
 )
 from .siteio import SiteDocument
 from .randomsites import random_site
@@ -35,15 +36,15 @@ from .randomsites import random_site
 ENGINE_SAMPLES = 3
 
 
-def engine_checks(top, presheaves, label: str = "sheafification-engine") -> list[CheckResult]:
+def engine_checks(top, presheaves) -> list[CheckResult]:
     """Sheafification-engine battery over a list of presheaves: the output is
     a sheaf, the unit is an iso after sheafification, the construction is
     idempotent, the colimit oracle agrees, and finite products and
-    equalizers are preserved."""
-    cases = 0
-    for pre in presheaves:
-        cases += 1
-        result = sheafify(pre, top)
+    equalizers are preserved. Each presheaf, product and equalizer is
+    sheafified once, and morphisms are transported between the results."""
+    label = "sheafification-engine"
+    sheafified = [sheafify(pre, top) for pre in presheaves]
+    for pre, result in zip(presheaves, sheafified):
         if not classify_presheaf(result.sheaf, top).is_sheaf:
             return [CheckResult(label, "fail", "sheafified presheaf does not classify as sheaf")]
         if not is_tau_iso(result.unit, top):
@@ -52,43 +53,42 @@ def engine_checks(top, presheaves, label: str = "sheafification-engine") -> list
         ok, witness = componentwise_bijection(again.unit)
         if not ok:
             return [CheckResult(label, "fail", f"double sheafification moves sections at {witness}")]
-        if plus_construction_via_colimit(pre, top) != plus_construction(pre, top):
+        if plus_construction_via_colimit(pre, top) != result.steps[0].presheaf:
             return [CheckResult(label, "fail", "colimit oracle disagrees with minimal-sieve plus")]
-    exact_cases = 0
-    for i in range(len(presheaves) - 1):
-        f, g = presheaves[i], presheaves[i + 1]
-        exact_cases += 1
+    pairs = list(pairwise(zip(presheaves, sheafified)))
+    for (f, sf), (g, sg) in pairs:
         prod, p1, p2 = product_presheaf(f, g)
-        sp = sheafify(prod, top).sheaf
-        s1, s2 = sheafify_morphism(p1, top), sheafify_morphism(p2, top)
-        spair, _, _ = product_presheaf(sheafify(f, top).sheaf, sheafify(g, top).sheaf)
+        sprod = sheafify(prod, top)
+        s1, s2 = transport_morphism(p1, sprod, sf), transport_morphism(p2, sprod, sg)
+        spair, _, _ = product_presheaf(sf.sheaf, sg.sheaf)
         comps = {
-            o: {e: f"({s1.components[o][e]},{s2.components[o][e]})" for e in sp.value[o]}
-            for o in sp.cat.objects
+            o: {e: f"({s1.components[o][e]},{s2.components[o][e]})" for e in sprod.sheaf.value[o]}
+            for o in prod.cat.objects
         }
-        ok, witness = componentwise_bijection(PresheafMorphism(sp, spair, comps))
+        ok, witness = componentwise_bijection(PresheafMorphism(sprod.sheaf, spair, comps))
         if not ok:
             return [CheckResult(label, "fail", f"product comparison fails at {witness}")]
         parallel = hom_presheaves(f, g)
         if len(parallel) >= 2:
             u, v = parallel[0], parallel[1]
             eq, incl = equalizer_presheaf(u, v)
-            seq = sheafify(eq, top).sheaf
-            sincl = sheafify_morphism(incl, top)
-            su, sv = sheafify_morphism(u, top), sheafify_morphism(v, top)
+            seq = sheafify(eq, top)
+            sincl = transport_morphism(incl, seq, sf)
+            su, sv = transport_morphism(u, sf, sg), transport_morphism(v, sf, sg)
             _, target_incl = equalizer_presheaf(su, sv)
-            for o in seq.cat.objects:
-                image = sorted(sincl.components[o][e] for e in seq.value[o])
+            for o in eq.cat.objects:
+                image = sorted(sincl.components[o][e] for e in seq.sheaf.value[o])
                 if image != sorted(set(image)) or image != sorted(target_incl.source.value[o]):
                     return [CheckResult(
                         label, "fail", f"equalizer comparison fails at {o}")]
     return [CheckResult(label, "pass",
-                        f"{cases} presheaves, {exact_cases} exactness pairs",
-                        data={"presheaves": cases, "exactness_pairs": exact_cases})]
+                        f"{len(presheaves)} presheaves, {len(pairs)} exactness pairs",
+                        data={"presheaves": len(presheaves), "exactness_pairs": len(pairs)})]
 
 
 def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[CheckResult]:
-    """Everything checkable on one site, as a flat list of results."""
+    """Everything checkable on one site, as a flat list of results. The engine
+    battery samples the base presheaves from the sheaf-transfer pass."""
     h, top = site.homotopy, site.topology
     out: list[CheckResult] = []
     try:
@@ -103,8 +103,10 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
                            data={"covers": covers}))
     out.append(check_cover_reflecting(h, top, rep.induced))
     out.extend(check_comparison_lemmas(h, top, rep.induced, bound=bound, seed=seed))
-    out.append(check_sheaf_transfer(h, top, rep.induced, bound=bound))
-    sample = sample_presheaves(site.category, bound, ENGINE_SAMPLES, Random(seed + 1))
+    sample: list[SetPresheaf] = []
+    base = reservoir(enumerate_presheaves(site.category, bound), ENGINE_SAMPLES,
+                     Random(seed + 1), sample)
+    out.append(check_sheaf_transfer(h, top, rep.induced, base))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:
@@ -113,16 +115,14 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
     return out
 
 
-def _run_random_site(args) -> tuple[int, list[CheckResult]]:
-    index, seed, bound = args
-    site = random_site(seed)
-    return index, run_site_suite(site, bound=bound, seed=seed)
+def _run_random_site(seed: int, bound: int) -> list[CheckResult]:
+    return run_site_suite(random_site(seed), bound=bound, seed=seed)
 
 
 def run_population(count: int = 200, base_seed: int = 0, bound: int = 2,
                    workers: int = 1, include_fixtures: bool = True) -> list[tuple[str, list[CheckResult]]]:
     """Fixtures A-E (optionally) plus `count` seeded random sites; results
-    merge in seed order regardless of worker scheduling."""
+    come back in seed order, serially or from a process pool."""
     from .fixtures import FIXTURE_NAMES, fixture_site
 
     results: list[tuple[str, list[CheckResult]]] = []
@@ -130,16 +130,13 @@ def run_population(count: int = 200, base_seed: int = 0, bound: int = 2,
         for name in FIXTURE_NAMES:
             site = fixture_site(name)
             results.append((f"fixture-{name}", run_site_suite(site, bound=bound, seed=base_seed)))
-    jobs = [(i, base_seed + i, bound) for i in range(count)]
-    if workers > 1 and jobs:
+    seeds = range(base_seed, base_seed + count)
+    if workers > 1 and seeds:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_random_site, jobs, chunksize=8))
-        done.sort(key=lambda pair: pair[0])
-        for index, checks in done:
-            results.append((f"random-{base_seed + index}", checks))
+            done = list(pool.map(_run_random_site, seeds, repeat(bound), chunksize=8))
     else:
-        for index, seed, b in jobs:
-            results.append((f"random-{seed}", run_site_suite(random_site(seed), bound=b, seed=seed)))
+        done = map(_run_random_site, seeds, repeat(bound))
+    results.extend((f"random-{seed}", checks) for seed, checks in zip(seeds, done))
     return results
 
 

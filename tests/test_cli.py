@@ -354,6 +354,16 @@ def test_seed_env_override(fixture_files, monkeypatch):
     assert json.loads(proc.stdout)["seed"] == 42
 
 
+def test_malformed_seed_env_is_load_error(fixture_files, monkeypatch, capsys):
+    monkeypatch.setenv("HOSITE_SEED", "abc")
+    assert main(["validate", fixture_files["B"], "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("load error: HOSITE_SEED")
+    # an explicit --seed does not read the variable
+    assert main(["validate", fixture_files["B"], "--json", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
 def test_population_workers_merge_deterministically():
     from hosite import run_population
     serial = run_population(count=6, base_seed=100, workers=1)

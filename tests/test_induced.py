@@ -23,6 +23,7 @@ from hosite import (
     validate_topology,
 )
 import hosite.induced as induced_mod
+from hosite.enumeration import enumerate_presheaves
 from hosite.induced import TheoremViolation
 
 
@@ -159,7 +160,8 @@ def test_discrete_implications_hold_with_converses(site_c):
 def test_sheaf_transfer_on_fixtures(all_sites):
     for site in all_sites.values():
         rep = induced_topology(site.homotopy, site.topology)
-        result = check_sheaf_transfer(site.homotopy, site.topology, rep.induced)
+        result = check_sheaf_transfer(site.homotopy, site.topology, rep.induced,
+                                      enumerate_presheaves(site.category, 2))
         assert result.verdict == "pass"
 
 
