@@ -8,6 +8,7 @@ default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -175,6 +176,7 @@ def run_command(verb: str, site: SiteDocument, args) -> CheckReport:
                        flags=flags, checks=checks, wall_ms=wall)
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hosite", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)

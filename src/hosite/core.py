@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .util import backtrack
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -288,51 +290,34 @@ def componentwise_bijection(m: PresheafMorphism):
 
 
 def hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> tuple[PresheafMorphism, ...]:
-    """Enumerate all natural transformations u -> f.
-
-    Backtracking over objects in declaration order with naturality checked as
-    soon as both endpoints of a morphism are assigned; agrees with the plain
-    product-filter enumeration and is deterministic.
-    """
+    """All natural transformations u -> f: one ``backtrack`` over the objects
+    in declaration order (components in ``product`` order), checking
+    naturality as soon as both endpoints of a morphism are assigned; agrees
+    with the plain product-filter enumeration."""
     if u.cat != f.cat:
         raise ValueError("presheaves live over different categories")
     cat = u.cat
     objs = cat.objects
-    n = len(objs)
     oidx = {o: i for i, o in enumerate(objs)}
-    checks: list[list[str]] = [[] for _ in range(n)]
+    checks: list[list[tuple]] = [[] for _ in objs]
     for m in cat.morphisms:
-        if cat.is_identity(m):
-            continue
-        checks[max(oidx[cat.dom[m]], oidx[cat.cod[m]])].append(m)
+        if not cat.is_identity(m):
+            v, x = cat.dom[m], cat.cod[m]
+            checks[max(oidx[v], oidx[x])].append((v, x, u.restrict[m], f.restrict[m], u.value[x]))
+    comps: dict[str, dict[str, str]] = {}
+    components = [[dict(zip(u.value[o], c)) for c in product(f.value[o], repeat=len(u.value[o]))]
+                  for o in objs]
 
-    found: list[dict[str, dict[str, str]]] = []
-    comps: list[dict[str, str]] = [{} for _ in range(n)]
+    def ok(i: int) -> bool:
+        for v, x, ru, rf, sections in checks[i]:
+            cv, cx = comps[v], comps[x]
+            for s in sections:
+                if cv[ru[s]] != rf[cx[s]]:
+                    return False
+        return True
 
-    def assign(i: int):
-        if i == n:
-            found.append({objs[k]: dict(comps[k]) for k in range(n)})
-            return
-        src = u.value[objs[i]]
-        tgt = f.value[objs[i]]
-        for choice in product(tgt, repeat=len(src)):
-            comps[i] = dict(zip(src, choice))
-            ok = True
-            for m in checks[i]:
-                cv = comps[oidx[cat.dom[m]]]
-                cx = comps[oidx[cat.cod[m]]]
-                ru, rf = u.restrict[m], f.restrict[m]
-                for s in u.value[cat.cod[m]]:
-                    if cv[ru[s]] != rf[cx[s]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                assign(i + 1)
-
-    assign(0)
-    return tuple(PresheafMorphism(u, f, c) for c in found)
+    return tuple(PresheafMorphism(u, f, {o: dict(c) for o, c in found.items()})
+                 for found in backtrack(objs, components.__getitem__, ok, comps))
 
 
 def product_presheaf(f: SetPresheaf, g: SetPresheaf):

@@ -6,6 +6,7 @@ from random import Random
 from typing import Iterable, Iterator, TypeVar
 
 from .core import FiniteCategory, SetPresheaf
+from .util import backtrack
 
 LABELS = ("s0", "s1", "s2", "s3")
 T = TypeVar("T")
@@ -13,9 +14,9 @@ T = TypeVar("T")
 
 def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPresheaf]:
     """All presheaves with every value of cardinality <= max_card, on the
-    canonical labels. Backtracks over the non-identity restriction maps and
-    checks each contravariance constraint as soon as its participants are
-    assigned."""
+    canonical labels: per size vector, one ``backtrack`` over the non-identity
+    restriction maps (tables in ``product`` order), checking each
+    contravariance constraint as soon as its participants are assigned."""
     if not 0 <= max_card <= len(LABELS):
         raise ValueError(f"value bound {max_card} is outside 0..{len(LABELS)}")
     objs = cat.objects
@@ -23,47 +24,34 @@ def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPres
     midx = {m: i for i, m in enumerate(nonid)}
 
     # (g, f, gf) with identity-free operands; triggered once all three maps exist
-    constraints = []
+    triggers: list[list[tuple[str, str, str]]] = [[] for _ in nonid]
     for g in nonid:
         for f in nonid:
             if cat.composable(g, f):
                 gf = cat.composition[(g, f)]
-                trigger = max(midx[g], midx[f], midx.get(gf, -1))
-                constraints.append((trigger, g, f, gf))
-    triggers: list[list[tuple[str, str, str]]] = [[] for _ in nonid]
-    for trigger, g, f, gf in constraints:
-        triggers[trigger].append((g, f, gf))
+                triggers[max(midx[g], midx[f], midx.get(gf, -1))].append((g, f, gf))
 
     for sizes in product(range(max_card + 1), repeat=len(objs)):
         value = {o: tuple(LABELS[:k]) for o, k in zip(objs, sizes)}
+        tables = []
+        for m in nonid:
+            src = value[cat.cod[m]]
+            tables.append([dict(zip(src, c)) for c in product(value[cat.dom[m]], repeat=len(src))])
+        checks = [[(g, f, gf, value[cat.cod[g]]) for g, f, gf in t] for t in triggers]
         assigned: dict[str, dict[str, str]] = {
             cat.identity[o]: {s: s for s in value[o]} for o in objs
         }
 
-        def rec(i: int) -> Iterator[SetPresheaf]:
-            if i == len(nonid):
-                yield SetPresheaf(cat, dict(value), {m: dict(t) for m, t in assigned.items()})
-                return
-            m = nonid[i]
-            src = value[cat.cod[m]]
-            tgt = value[cat.dom[m]]
-            for choice in product(tgt, repeat=len(src)):
-                table = dict(zip(src, choice))
-                assigned[m] = table
-                ok = True
-                for g, f, gf in triggers[i]:
-                    rg, rf, rgf = assigned[g], assigned[f], assigned[gf]
-                    for s in value[cat.cod[g]]:
-                        if rgf[s] != rf[rg[s]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    yield from rec(i + 1)
-            assigned.pop(m, None)
+        def ok(i: int) -> bool:
+            for g, f, gf, sections in checks[i]:
+                rg, rf, rgf = assigned[g], assigned[f], assigned[gf]
+                for s in sections:
+                    if rgf[s] != rf[rg[s]]:
+                        return False
+            return True
 
-        yield from rec(0)
+        for restrict in backtrack(nonid, tables.__getitem__, ok, assigned):
+            yield SetPresheaf(cat, dict(value), {m: dict(t) for m, t in restrict.items()})
 
 
 def reservoir(items: Iterable[T], k: int, rng: Random, sample: list[T]) -> Iterator[T]:

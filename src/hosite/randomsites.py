@@ -1,11 +1,13 @@
 """Seeded random site generation for the comparison suite.
 
 Categories are sampled by drawing an arrow pattern, completing it so every
-composable pair has a candidate composite, and backtracking over composite
-assignments, rechecking associativity after each assignment; patterns that
-cannot be completed within budget are rejected and redrawn. Enrichments are
-rejection-sampled against whisker-compatibility, with discrete enrichment as
-the fallback. Everything is driven by one seed so failures replay exactly.
+composable pair has a candidate composite, and one ``backtrack`` over
+composite assignments (each pair's shuffled candidates in turn), rechecking
+associativity after each. Every candidate spends a node of a fixed budget,
+none passes once it is spent, and patterns not completed within it are
+redrawn. Enrichments are rejection-sampled against whisker-compatibility,
+with discrete enrichment as the fallback. Everything is driven by one seed so
+failures replay exactly.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from random import Random
 from .core import make_category
 from .homotopy import EnrichedCategory, validate_enrichment
 from .siteio import COMPOSE_SIGN, SiteDocument, load_site
+from .util import backtrack
 
 _NODE_BUDGET = 4000
 
@@ -41,7 +44,7 @@ def _complete_pattern(objects, arrows, max_morphisms):
 
 
 def _assign_composites(rng: Random, objects, arrows):
-    """Backtracking assignment of an associative composition table."""
+    """An associative composition table, or None if the budget runs out."""
     names = [a[0] for a in arrows]
     dom = {a[0]: a[1] for a in arrows}
     cod = {a[0]: a[2] for a in arrows}
@@ -61,7 +64,7 @@ def _assign_composites(rng: Random, objects, arrows):
     table: dict[tuple[str, str], str] = {}
     for m in names:
         table[(m, "id_" + dom[m])] = table[("id_" + cod[m], m)] = m
-    budget = [_NODE_BUDGET]
+    budget = _NODE_BUDGET
 
     def consistent() -> bool:
         for h, g in pairs:
@@ -76,23 +79,15 @@ def _assign_composites(rng: Random, objects, arrows):
                         return False
         return True
 
-    def rec(i: int) -> bool:
-        if budget[0] <= 0:
-            return False
-        if i == len(pairs):
-            return True
-        key = pairs[i]
-        for cand in candidates[key]:
-            budget[0] -= 1
-            table[key] = cand
-            if consistent() and rec(i + 1):
-                return True
-            table.pop(key, None)
-        return False
+    def ok(i: int) -> bool:
+        # every candidate spends a node; once none is left, nothing passes
+        nonlocal budget
+        budget -= 1
+        return budget > 0 and consistent()
 
-    if not rec(0):
-        return None
-    return {k: table[k] for k in pairs}
+    for _ in backtrack(pairs, lambda i: candidates[pairs[i]], ok, table):
+        return {k: table[k] for k in pairs}
+    return None
 
 
 def _sample_category(rng: Random, max_objects, max_morphisms):

@@ -22,7 +22,7 @@ from itertools import islice
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
 from .sieves import GrothendieckTopology, Sieve, SievePlan, minimal_cover, pullback_sieve, sieve_plan
-from .util import UnionFind
+from .util import UnionFind, backtrack
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,24 @@ class MatchingFamily:
 
 
 def _families(pre: SetPresheaf, plan: SievePlan):
-    """The matching families over the planned sieve, each once, as tuples of
-    sections aligned with ``plan.members``, by backtracking."""
-    restrict, value = pre.restrict, pre.value
-    cur: list[str] = [""] * len(plan.members)
+    """The matching families over the planned sieve, each once, in the
+    backtracking order of ``plan.members``; each is yielded as the same dict
+    from member to section, so a caller that keeps one copies it."""
+    restrict, value, doms = pre.restrict, pre.value, plan.doms
+    checks = [[(restrict[g], f, fg) for g, f, fg in t] for t in plan.triggers]
+    cur: dict[str, str] = {}
 
-    def rec(i: int):
-        if i == len(cur):
-            yield tuple(cur)
-            return
-        for e in value[plan.doms[i]]:
-            cur[i] = e
-            if all(restrict[g][cur[f]] == cur[fg] for g, f, fg in plan.triggers[i]):
-                yield from rec(i + 1)
+    def ok(i: int) -> bool:
+        for r, f, fg in checks[i]:
+            if r[cur[f]] != cur[fg]:
+                return False
+        return True
 
-    return rec(0)
+    return backtrack(plan.members, lambda i: value[doms[i]], ok, cur)
 
 
 def _family_dicts(pre: SetPresheaf, plan: SievePlan) -> list[dict[str, str]]:
-    return [dict(zip(plan.members, fam)) for fam in _families(pre, plan)]
+    return [dict(fam) for fam in _families(pre, plan)]
 
 
 def family_key(fam: dict[str, str]) -> str:

@@ -85,25 +85,25 @@ def pullback_sieve(cat: FiniteCategory, h: str, s: Sieve) -> Sieve:
 
 class SievePlan(NamedTuple):
     """A sieve laid out for enumerating matching families: its sorted members,
-    their domains, and per member index i the checks (g, i_f, i_fg),
+    their domains, and per member index i the checks (g, f, f∘g),
     restrict[g](s_f) == s_{f∘g}, decidable once member i is assigned."""
 
     sieve: Sieve
     members: tuple[str, ...]
     doms: tuple[str, ...]
-    triggers: list[list[tuple[str, int, int]]]
+    triggers: list[list[tuple[str, str, str]]]
 
 
 def sieve_plan(cat: FiniteCategory, s: Sieve) -> SievePlan:
     members = tuple(sorted(s.members))
     doms = tuple([cat.dom[f] for f in members])
     idx = {m: i for i, m in enumerate(members)}
-    triggers: list[list[tuple[str, int, int]]] = [[] for _ in members]
+    triggers: list[list[tuple[str, str, str]]] = [[] for _ in members]
     for i_f, f in enumerate(members):
         for g in cat.arrows_into(doms[i_f]):
             if not cat.is_identity(g):
-                i_fg = idx[cat.compose(f, g)]
-                triggers[max(i_f, i_fg)].append((g, i_f, i_fg))
+                fg = cat.compose(f, g)
+                triggers[max(i_f, idx[fg])].append((g, f, fg))
     return SievePlan(s, members, doms, triggers)
 
 

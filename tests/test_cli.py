@@ -364,6 +364,26 @@ def test_malformed_seed_env_is_load_error(fixture_files, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 3
 
 
+def test_main_reuses_one_parser(fixture_files, monkeypatch, capsys):
+    # one parser serves every call in a process; each report must match a
+    # fresh interpreter's, whatever the call before it parsed
+    from hosite.cli import build_parser
+    monkeypatch.delenv("HOSITE_SEED", raising=False)
+    build_parser.cache_clear()
+    calls = [["check-lemmas", fixture_files["B"], "--bound", "1", "--seed", "5", "--json"],
+             ["check-lemmas", fixture_files["D"], "--bound", "0", "--json"]]
+    outs = []
+    for args in calls:
+        assert main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert build_parser.cache_info().misses == 1
+    first, second = (json.loads(out) for out in outs)
+    assert (first["flags"]["bound"], first["seed"]) == (1, 5)
+    assert (second["flags"]["bound"], second["seed"]) == (0, 0)
+    for args, out in zip(calls, outs):
+        assert run_cli(args) == (0, out, "")
+
+
 def test_population_workers_merge_deterministically():
     from hosite import run_population
     serial = run_population(count=6, base_seed=100, workers=1)

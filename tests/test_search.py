@@ -1,0 +1,130 @@
+"""The depth-first kernel and the order of every search built on it.
+
+Hom-set and family tests elsewhere compare as sets; these digests pin the
+exact sequences, since reservoir draws and truncated listings depend on order.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from hosite import constant_presheaf, hom_presheaves, matching_families, yoneda
+from hosite.enumeration import enumerate_presheaves
+from hosite.util import backtrack
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def presheaf_sequence(cat, bound):
+    for pre in enumerate_presheaves(cat, bound):
+        yield json.dumps([pre.value, pre.restrict], sort_keys=True)
+
+
+def hom_sequence(site):
+    # the pairs of test_core.test_hom_agrees_with_product_oracle
+    cat = site.category
+    pres = list(site.presheaves.values()) + [constant_presheaf(cat, ["0"])]
+    pres += [yoneda(cat, x) for x in cat.objects]
+    for u in pres:
+        for f in pres:
+            for m in hom_presheaves(u, f):
+                yield json.dumps(m.components, sort_keys=True)
+            yield "--"
+
+
+def family_sequence(site):
+    cat = site.category
+    pres = {name: site.presheaves[name] for name in sorted(site.presheaves)}
+    pres["const01"] = constant_presheaf(cat, ["0", "1"])
+    pres.update((f"y{x}", yoneda(cat, x)) for x in cat.objects)
+    for name, pre in pres.items():
+        for x in cat.objects:
+            for s in site.topology.covers_of(x):
+                yield f"{name} {x} {sorted(s.members)}"
+                for fam in matching_families(pre, s):
+                    yield json.dumps(fam.assignment)
+
+
+# sha256 of each sequence, computed before the searches shared one kernel
+PRESHEAF_DIGESTS = {
+    ("A", 2): "9aae33535f8cc7d4a9160968a3390c9c1890e848462942f8c79a934f04710504",
+    ("B", 2): "ffe3734110e5feadb73eeda7e3703ba5ca4ca21118d132ed5cabedb0a236c762",
+    ("C", 2): "ffe3734110e5feadb73eeda7e3703ba5ca4ca21118d132ed5cabedb0a236c762",
+    ("D", 2): "3bbbbca62bbad5edabffb0c189ce9f0643a9d9d069a6b855819c56a3795dad28",
+    ("E", 2): "80039a5937b4737e11ffffe2cd9db40298e815e9b5cfd2fee44cacc7d8d53797",
+    ("B", 3): "de4d3c131283a7d86b7b307b458f8f77ff93000d4ea08c04abc8e98aac512996",
+    ("E", 3): "76f99426e62412cf610593b65ac3b8a9a70979bbc3d354e3d33972a5334ab032",
+}
+HOM_DIGESTS = {
+    "A": "551ff38dc496b85b070ba77a2bf2083ff3be3287daa84db247881f5870405f2a",
+    "B": "aa9460db3775abd4cceb9900b5d6be248d8fc05912c46cadaa72794bdbff6e2b",
+    "C": "aa9460db3775abd4cceb9900b5d6be248d8fc05912c46cadaa72794bdbff6e2b",
+    "D": "4d8e3f9ac23a8e84ae85dc63b43c0308ce250d7182275a1bf0cdbc1483c2179e",
+    "E": "0edbd8a13e5256d1eeabf6b7c5e2b4e2ec1745e1636bfef0815e9e4a05897ca9",
+}
+FAMILY_DIGESTS = {
+    "A": "65bacae95852738b84b373a4b1730467d6dcdbdf97e9afe858013cc3b7cd8184",
+    "B": "a5592b80eddd3cb90b8d9d9953090ccbbe2af05386bba167bc48514bf9558fb5",
+    "C": "a5592b80eddd3cb90b8d9d9953090ccbbe2af05386bba167bc48514bf9558fb5",
+    "D": "4db274caaac4f3c501f53c06ab4565606e9024f73a535a228c95d9edbb3b0597",
+    "E": "471a389123b68411da22dd06156e83cecee96ebac969add66c5053a9ef23d6fc",
+}
+
+
+@pytest.mark.parametrize("name,bound", sorted(PRESHEAF_DIGESTS))
+def test_presheaf_order_frozen(all_sites, name, bound):
+    lines = presheaf_sequence(all_sites[name].category, bound)
+    assert _digest(lines) == PRESHEAF_DIGESTS[(name, bound)]
+
+
+@pytest.mark.parametrize("name", sorted(HOM_DIGESTS))
+def test_hom_order_frozen(all_sites, name):
+    assert _digest(hom_sequence(all_sites[name])) == HOM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_family_order_frozen(all_sites, name):
+    assert _digest(family_sequence(all_sites[name])) == FAMILY_DIGESTS[name]
+
+
+def test_backtrack_zero_slots_yields_once():
+    cur = {"a": 1}
+    assert [dict(c) for c in backtrack((), lambda i: "xy", lambda i: True, cur)] == [{"a": 1}]
+
+
+def test_backtrack_empty_slot_yields_nothing():
+    choices = lambda i: "xy" if i != 1 else ""
+    cur: dict = {}
+    assert list(backtrack("pqr", choices, lambda i: True, cur)) == []
+    assert cur == {}
+
+
+def test_backtrack_order_and_restore():
+    # slot i may take any of "xyz" except the value of slot i - 1
+    keys = ("p", "q", "r")
+    cur = {"init": 0}
+    seen = []
+
+    def ok(i):
+        # at every check, cur holds its initial entry plus slots 0..i
+        assert list(cur) == ["init", *keys[:i + 1]]
+        return i == 0 or cur[keys[i]] != cur[keys[i - 1]]
+
+    for c in backtrack(keys, lambda i: "xyz", ok, cur):
+        assert list(c) == ["init", *keys]
+        seen.append("".join(c[k] for k in keys))
+    expected = [a + b + c for a in "xyz" for b in "xyz" for c in "xyz" if a != b != c]
+    assert seen == expected
+    assert cur == {"init": 0}
+
+
+def test_backtrack_abandoned_part_way():
+    cur: dict = {}
+    it = backtrack("pq", lambda i: "xy", lambda i: True, cur)
+    first = next(it)
+    assert first is cur and cur == {"p": "x", "q": "x"}
+    it.close()
