@@ -2,12 +2,16 @@
 
 Categories are sampled by drawing an arrow pattern, completing it so every
 composable pair has a candidate composite, and one ``backtrack`` over
-composite assignments (each pair's shuffled candidates in turn), rechecking
-associativity after each. Every candidate spends a node of a fixed budget,
-none passes once it is spent, and patterns not completed within it are
-redrawn. Enrichments are rejection-sampled against whisker-compatibility,
-with discrete enrichment as the fallback. Everything is driven by one seed so
-failures replay exactly.
+composite assignments (each pair's shuffled candidates in turn). Setting the
+composite of pair i is checked only on the associativity triples (h, g, f)
+that can read it: the table before slot i passed every earlier check, so a
+triple that never reads the new key keeps its verdict, and the verdict at
+every node is the one a rescan of every triple would give. Each slot's
+triples are listed once per search from the pairs and their candidates.
+Every candidate spends a node of a fixed budget, none passes once it is
+spent, and patterns not completed within it are redrawn. Enrichments are
+rejection-sampled against whisker-compatibility, with discrete enrichment as
+the fallback. Everything is driven by one seed so failures replay exactly.
 """
 from __future__ import annotations
 
@@ -43,6 +47,34 @@ def _complete_pattern(objects, arrows, max_morphisms):
     return None
 
 
+def _slot_triples(pairs, candidates):
+    """For each slot i, the triples (h, g, f) whose check can read the
+    composite of ``pairs[i]`` while slots 0..i are set.
+
+    A triple reads (h, g) and (g, f), then (h, g∘f) and (h∘g, f); it is
+    decidable once its first two keys are set, at the later of their slots,
+    and afterwards can read slot j only as (h, g∘f) or (h∘g, f), where the
+    middle composite is one of its pair's candidates. The triple (m, m, m)
+    reads m∘m as both of its first keys, so it is listed at that key's own
+    slot, not only after it."""
+    index = {p: i for i, p in enumerate(pairs)}
+    after: dict[str, list[str]] = {}
+    for g, f in pairs:
+        after.setdefault(g, []).append(f)
+    slots: list[dict] = [{} for _ in pairs]  # ordered sets of triples
+    for (h, g), i_hg in index.items():
+        for f in after.get(g, ()):
+            triple = (h, g, f)
+            first = max(i_hg, index[(g, f)])
+            slots[first][triple] = None
+            later = [index.get((h, c)) for c in candidates[(g, f)]]
+            later += [index.get((c, f)) for c in candidates[(h, g)]]
+            for j in later:
+                if j is not None and j > first:
+                    slots[j][triple] = None
+    return [tuple(s) for s in slots]
+
+
 def _assign_composites(rng: Random, objects, arrows):
     """An associative composition table, or None if the budget runs out."""
     names = [a[0] for a in arrows]
@@ -64,26 +96,21 @@ def _assign_composites(rng: Random, objects, arrows):
     table: dict[tuple[str, str], str] = {}
     for m in names:
         table[(m, "id_" + dom[m])] = table[("id_" + cod[m], m)] = m
+    checks = _slot_triples(pairs, candidates)
+    get = table.get
     budget = _NODE_BUDGET
-
-    def consistent() -> bool:
-        for h, g in pairs:
-            hg = table.get((h, g))
-            if hg is None:
-                continue
-            for f in names:
-                gf = table.get((g, f))
-                if gf is not None:
-                    left = table.get((h, gf))
-                    if left is not None and left != table.get((hg, f), left):
-                        return False
-        return True
 
     def ok(i: int) -> bool:
         # every candidate spends a node; once none is left, nothing passes
         nonlocal budget
         budget -= 1
-        return budget > 0 and consistent()
+        if budget <= 0:
+            return False
+        for h, g, f in checks[i]:
+            left = get((h, table[(g, f)]))
+            if left is not None and left != get((table[(h, g)], f), left):
+                return False
+        return True
 
     for _ in backtrack(pairs, lambda i: candidates[pairs[i]], ok, table):
         return {k: table[k] for k in pairs}

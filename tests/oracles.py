@@ -10,7 +10,9 @@ rules over the whole lattice and double sheafification, against which the
 package's least-cover forms are checked for equality. The sheaf condition is
 decided here by comparing the string keys of the canonical families with
 those of every matching family, against which the package's tuple-and-count
-test is checked.
+test is checked. Associativity of a partial composition table is decided
+here by a rescan of every triple, against which the random-site generator's
+per-slot check is checked at every node of its search.
 """
 from __future__ import annotations
 
@@ -299,3 +301,21 @@ def classify_by_families(pre: SetPresheaf, top: GrothendieckTopology) -> Classif
     if first_nonbij is not None:
         return Classification("separated-not-sheaf", first_nonbij)
     return Classification("sheaf")
+
+
+def associative_so_far(table, pairs, names) -> bool:
+    """No triple (h, g, f) of arrows disagrees where all four composites it
+    reads are set: h∘(g∘f) against (h∘g)∘f. ``pairs`` are the composable
+    pairs of non-identity arrows; ``table`` also holds the identity
+    composites."""
+    for h, g in pairs:
+        hg = table.get((h, g))
+        if hg is None:
+            continue
+        for f in names:
+            gf = table.get((g, f))
+            if gf is not None:
+                left = table.get((h, gf))
+                if left is not None and left != table.get((hg, f), left):
+                    return False
+    return True

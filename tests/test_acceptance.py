@@ -19,7 +19,9 @@ from hosite import (
     induced_topology,
     maximal_sieve,
     plus_construction,
+    random_site,
     run_population,
+    run_site_suite,
     serialize_site,
     thicken_sieve,
     validate_topology,
@@ -31,6 +33,8 @@ from oracles import matching_families_product
 
 POPULATION_SIZE = 200
 BOUND_SECONDS = 60.0
+WIDER_LIMITS = (5, 12, 8)  # objects, morphisms, edges of the wider tier
+WIDER_BOUND_SECONDS = 45.0
 
 
 def report_line(number: int, ok: bool, description: str):
@@ -227,3 +231,20 @@ def test_criterion_9_determinism_and_replay(population, tmp_path, monkeypatch, c
     report_line(9, ok,
                 "reports replay byte-identically (pass and violation paths); "
                 f"population suite ran in {population.wall_seconds:.1f}s < 60s")
+
+
+def test_wider_random_sites_pass():
+    # a tier beyond the population: 200 random sites at 5 objects, 12
+    # morphisms and 8 edges, generated and checked at bound 2 on their own
+    # time budget
+    start = time.monotonic()
+    failures = []
+    for seed in range(POPULATION_SIZE):
+        site = random_site(seed, *WIDER_LIMITS)
+        for check in run_site_suite(site, bound=2, seed=seed):
+            if check.verdict != "pass":
+                failures.append((seed, check.name, check.detail))
+    elapsed = time.monotonic() - start
+    assert not failures, failures[:5]
+    assert elapsed < WIDER_BOUND_SECONDS, \
+        f"{POPULATION_SIZE} sites at {WIDER_LIMITS} took {elapsed:.1f}s"
