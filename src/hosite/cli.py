@@ -4,6 +4,9 @@ Verbs: validate, ho, induce, thicken, sheafify, classify, check-lemmas,
 fixture. Exit codes: 0 pass, 1 input invalid, 2 property/theorem violation
 (counterexample attached), 3 internal error. HOSITE_SEED overrides the
 default seed.
+
+Every verb but fixture reads one site, and loading validates it: validate
+lists the verdicts loading reached.
 """
 from __future__ import annotations
 
@@ -14,14 +17,12 @@ import sys
 import time
 from pathlib import Path
 
-from .core import validate_category, validate_presheaf
 from .enumeration import LABELS
-from .homotopy import validate_enrichment
 from .induced import TheoremViolation, induced_topology, thicken_sieve
 from .fixtures import FIXTURE_NAMES, fixture_doc
 from .report import CheckReport, CheckResult, emit_report
 from .sheafify import classify_presheaf, sheafify
-from .sieves import Sieve, format_sieve, generate_sieve, validate_topology
+from .sieves import Sieve, format_sieve, generate_sieve
 from .siteio import SiteDocument, SiteLoadError, parse_site, serialize_site
 from .suite import run_population, run_site_suite, summarize_population
 
@@ -42,17 +43,10 @@ def _read_site(path: str) -> SiteDocument:
 
 
 def _cmd_validate(site: SiteDocument, args) -> list[CheckResult]:
-    checks = []
-    report = validate_category(site.category)
-    checks.append(CheckResult("category", "pass" if report else "fail", report.detail))
-    report = validate_enrichment(site.enriched)
-    checks.append(CheckResult("enrichment", "pass" if report else "fail", report.detail))
-    report = validate_topology(site.topology)
-    checks.append(CheckResult("topology", "pass" if report else "fail", report.detail))
-    for name in sorted(site.presheaves):
-        report = validate_presheaf(site.presheaves[name], site.category)
-        checks.append(CheckResult(f"presheaf:{name}", "pass" if report else "fail", report.detail))
-    return checks
+    """The verdicts ``load_site`` reached: a loaded site passed every one."""
+    parts = ["category", "enrichment", "topology"]
+    parts += [f"presheaf:{name}" for name in sorted(site.presheaves)]
+    return [CheckResult(part, "pass") for part in parts]
 
 
 def _cmd_ho(site: SiteDocument, args) -> list[CheckResult]:
@@ -71,10 +65,7 @@ def _cmd_ho(site: SiteDocument, args) -> list[CheckResult]:
 def _cmd_induce(site: SiteDocument, args) -> list[CheckResult]:
     rep = induced_topology(site.homotopy, site.topology)
     ho = site.homotopy.ho
-    data = {
-        x: [format_sieve(ho, s) for s in sorted(rep.induced.covers[x], key=Sieve.sort_key)]
-        for x in ho.objects
-    }
+    data = {x: [format_sieve(ho, s) for s in rep.induced.covers_of(x)] for x in ho.objects}
     return [
         CheckResult("identification", "pass", "both characterizations agree"),
         CheckResult("induced-covers", "info", "covering sieves per object", data=data),
@@ -146,28 +137,34 @@ def _cmd_check_lemmas(site: SiteDocument, args) -> list[CheckResult]:
     return checks
 
 
+_PRESHEAF = {"--presheaf": {"required": True}}
+# each site verb once: its handler and its own flags as argparse arguments;
+# build_parser declares the flags and run_command reports them
 _VERBS = {
-    "validate": _cmd_validate,
-    "ho": _cmd_ho,
-    "induce": _cmd_induce,
-    "thicken": _cmd_thicken,
-    "sheafify": _cmd_sheafify,
-    "classify": _cmd_classify,
-    "check-lemmas": _cmd_check_lemmas,
+    "validate": (_cmd_validate, {}),
+    "ho": (_cmd_ho, {}),
+    "induce": (_cmd_induce, {}),
+    "thicken": (_cmd_thicken, {"--sieve": {"required": True,
+                                           "help": "generators@object, e.g. f1,f2@y"}}),
+    "sheafify": (_cmd_sheafify, _PRESHEAF),
+    "classify": (_cmd_classify, _PRESHEAF),
+    "check-lemmas": (_cmd_check_lemmas, {
+        "--bound": {"type": int, "default": 2},
+        "--random-sites": {"type": int, "default": 0},
+        "--workers": {"type": int, "default": 1},
+    }),
 }
+# flags that change how a verb runs but never what it reports
+_UNREPORTED = {"--workers"}
 
 
 def run_command(verb: str, site: SiteDocument, args) -> CheckReport:
-    flags = {}
-    if verb == "check-lemmas":
-        flags = {"bound": args.bound, "random-sites": args.random_sites}
-    elif verb == "thicken":
-        flags = {"sieve": args.sieve}
-    elif verb in ("sheafify", "classify"):
-        flags = {"presheaf": args.presheaf}
+    handler, own_flags = _VERBS[verb]
+    flags = {flag[2:]: getattr(args, flag[2:].replace("-", "_"))
+             for flag in own_flags if flag not in _UNREPORTED}
     start = time.monotonic()
     try:
-        checks = _VERBS[verb](site, args)
+        checks = handler(site, args)
     except TheoremViolation as exc:
         checks = [CheckResult("theorem-violation", "fail", str(exc),
                               counterexample={"site": site.raw, **exc.counterexample})]
@@ -180,27 +177,13 @@ def run_command(verb: str, site: SiteDocument, args) -> CheckReport:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hosite", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_site_verb(name, **extra):
-        p = sub.add_parser(name)
+    for verb, (_, own_flags) in _VERBS.items():
+        p = sub.add_parser(verb)
         p.add_argument("site", help="site file path, or - for stdin")
         p.add_argument("--seed", type=int)
         p.add_argument("--json", action="store_true")
-        for flag, kwargs in extra.items():
+        for flag, kwargs in own_flags.items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    add_site_verb("validate")
-    add_site_verb("ho")
-    add_site_verb("induce")
-    add_site_verb("thicken", **{"--sieve": {"required": True, "help": "generators@object, e.g. f1,f2@y"}})
-    add_site_verb("sheafify", **{"--presheaf": {"required": True}})
-    add_site_verb("classify", **{"--presheaf": {"required": True}})
-    add_site_verb("check-lemmas", **{
-        "--bound": {"type": int, "default": 2},
-        "--random-sites": {"type": int, "default": 0},
-        "--workers": {"type": int, "default": 1},
-    })
     fx = sub.add_parser("fixture")
     fx.add_argument("name", choices=list(FIXTURE_NAMES))
     fx.add_argument("--out", default="-")

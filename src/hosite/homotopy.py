@@ -12,11 +12,14 @@ Enrichment is 1-truncated: hom-sets carry unoriented homotopy edges, every
 vertex is tacitly self-connected, and nothing above connected components is
 retained. Whisker-compatibility is a validated input precondition — it is
 what makes composition descend to the quotient — and inputs violating it
-are rejected with the witnessing triple.
+are rejected with the witnessing triple. The edge classes are built once per
+enriched category, in one table that the check and the quotient both read;
+``homotopy_category`` runs the check, so a loaded site is checked there once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import PASS, FiniteCategory, PresheafMorphism, SetPresheaf, ValidationReport, _fail
 from .util import UnionFind
@@ -41,15 +44,23 @@ class EnrichedCategory:
     base: FiniteCategory
     edges: tuple[tuple[str, str], ...]
 
-
-def _edge_classes(enr: EnrichedCategory) -> UnionFind:
-    uf = UnionFind(enr.base.morphisms)
-    for a, b in enr.edges:
-        uf.union(a, b)
-    return uf
+    @cached_property
+    def _least(self) -> dict[str, str]:
+        """Each morphism's edge class, named by its least member: the one
+        table both the whisker check and the quotient read."""
+        uf = UnionFind(self.base.morphisms)
+        for a, b in self.edges:
+            uf.union(a, b)
+        return {m: least for least, members in uf.classes().items() for m in members}
 
 
 def validate_enrichment(enr: EnrichedCategory) -> ValidationReport:
+    """Edges join parallel morphisms, and whiskering respects the classes.
+
+    Each class is checked against its least member only. Classes are
+    transitive, so if every member agrees with the least one, every pair
+    agrees, and the first failing pair of an all-pairs scan is such a pair.
+    """
     cat = enr.base
     known = set(cat.morphisms)
     for a, b in enr.edges:
@@ -57,27 +68,21 @@ def validate_enrichment(enr: EnrichedCategory) -> ValidationReport:
             return _fail("edge-endpoints", (a, b), "edge endpoint is not a morphism")
         if cat.dom[a] != cat.dom[b] or cat.cod[a] != cat.cod[b]:
             return _fail("edge-endpoints", (a, b), "edge endpoints are not parallel")
-    uf = _edge_classes(enr)
-    groups = [members for _, members in sorted(uf.classes().items())]
-    for members in groups:
-        for i, f in enumerate(members):
-            for f2 in members[i + 1:]:
-                x = cat.cod[f]
-                for h in cat.morphisms:
-                    if cat.dom[h] != x:
-                        continue
-                    if uf.find(cat.compose(h, f)) != uf.find(cat.compose(h, f2)):
-                        return _fail(
-                            "whisker-compatibility", (f, f2, h),
-                            f"{f} ~ {f2} but {h}∘{f} and {h}∘{f2} land in different classes")
-                v = cat.dom[f]
-                for g in cat.morphisms:
-                    if cat.cod[g] != v:
-                        continue
-                    if uf.find(cat.compose(f, g)) != uf.find(cat.compose(f2, g)):
-                        return _fail(
-                            "whisker-compatibility", (f, f2, g),
-                            f"{f} ~ {f2} but {f}∘{g} and {f2}∘{g} land in different classes")
+    least = enr._least
+    for f2 in sorted((m for m in cat.morphisms if least[m] != m), key=lambda m: (least[m], m)):
+        f = least[f2]
+        for h in cat.morphisms:
+            if cat.dom[h] == cat.cod[f] and \
+                    least[cat.compose(h, f)] != least[cat.compose(h, f2)]:
+                return _fail(
+                    "whisker-compatibility", (f, f2, h),
+                    f"{f} ~ {f2} but {h}∘{f} and {h}∘{f2} land in different classes")
+        for g in cat.morphisms:
+            if cat.cod[g] == cat.dom[f] and \
+                    least[cat.compose(f, g)] != least[cat.compose(f2, g)]:
+                return _fail(
+                    "whisker-compatibility", (f, f2, g),
+                    f"{f} ~ {f2} but {f}∘{g} and {f2}∘{g} land in different classes")
     return PASS
 
 
@@ -100,17 +105,14 @@ def homotopy_category(enr: EnrichedCategory) -> HomotopyCategoryData:
     """Quotient each hom-set by its connected components.
 
     Class ids are '[rep]' with rep the lexicographically least member, so the
-    quotient morphisms stay readable next to the originals in reports.
+    quotient morphisms stay readable next to the originals in reports. An
+    invalid enrichment raises ValueError naming the law and its witness.
     """
     report = validate_enrichment(enr)
     if not report:
-        raise ValueError(f"invalid enrichment ({report.law} at {report.witness}): {report.detail}")
+        raise ValueError(f"{report.law} at {report.witness}: {report.detail}")
     cat = enr.base
-    uf = _edge_classes(enr)
-    rep_of = {}
-    for root, members in uf.classes().items():
-        for m in members:
-            rep_of[m] = root
+    rep_of = enr._least
     gamma = {m: f"[{rep_of[m]}]" for m in cat.morphisms}
 
     names: list[str] = []

@@ -63,8 +63,6 @@ def is_bracket_cover(h: HomotopyCategoryData, top: GrothendieckTopology, u: Siev
 @dataclass(frozen=True)
 class InducedTopologyReport:
     induced: GrothendieckTopology
-    via_bracket: dict[str, frozenset[Sieve]]
-    via_iso_test: dict[str, frozenset[Sieve]]
     agreement: bool
 
 
@@ -95,7 +93,7 @@ def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> Indu
         raise TheoremViolation(
             f"induced covers do not form a topology ({report.law} at {report.witness})",
             {"validation": report.detail})
-    return InducedTopologyReport(induced, via_bracket, via_iso, True)
+    return InducedTopologyReport(induced, True)
 
 
 def check_cover_reflecting(h: HomotopyCategoryData, top: GrothendieckTopology,
@@ -103,7 +101,7 @@ def check_cover_reflecting(h: HomotopyCategoryData, top: GrothendieckTopology,
     """Preimages of induced covers must be covers in the base."""
     checked = 0
     for x in h.ho.objects:
-        for u in sorted(induced.covers.get(x, frozenset()), key=Sieve.sort_key):
+        for u in induced.covers_of(x):
             checked += 1
             pre = Sieve(x, frozenset(
                 f for f in h.base.arrows_into(x) if h.gamma[f] in u.members))
@@ -218,7 +216,7 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     d_cases = 0
     d_fail: CheckResult | None = None
     for x in h.base.objects:
-        covers = sorted(top.covers.get(x, frozenset()), key=Sieve.sort_key)
+        covers = top.covers_of(x)
         thickened = {}
         for j in covers:
             d_cases += 1

@@ -46,11 +46,9 @@ class CheckReport:
         return 2 if any(c.verdict == "fail" for c in self.checks) else 0
 
 
-def replay_command(report: CheckReport, site_arg: str = "<site>") -> str:
-    parts = ["hosite", report.command, site_arg, "--seed", str(report.seed)]
+def replay_command(report: CheckReport) -> str:
+    parts = ["hosite", report.command, "<site>", "--seed", str(report.seed)]
     for key, value in sorted(report.flags.items()):
-        if key == "seed":
-            continue
         parts.extend([f"--{key}", str(value)])
     return " ".join(parts)
 

@@ -248,7 +248,7 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
     pair_fams: dict[str, dict[tuple[Sieve, str], dict[str, str]]] = {}
     for x in cat.objects:
         pairs = {}
-        for s in sorted(top.covers[x], key=Sieve.sort_key):
+        for s in top.covers_of(x):
             for fam in _family_dicts(pre, sieve_plan(cat, s)):
                 pairs[(s, family_key(fam))] = fam
         uf = UnionFind(pairs)

@@ -4,6 +4,12 @@ A site file lists objects, non-identity morphisms, the composition table for
 composable non-identity pairs (keys are "g∘f" strings), homotopy edges,
 topology generators, and optional named presheaves. Identities are
 synthesized as ``id_<object>`` so counterexamples stay hand-editable.
+
+``load_site`` is the one place a site is validated: the document's shape,
+then the category laws, the enrichment (through the one ``homotopy_category``
+call), the saturated topology and every presheaf. Any failure is a
+``SiteLoadError``, so every loaded ``SiteDocument`` has passed them all and
+later readers trust it.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from .core import (
     validate_category,
     validate_presheaf,
 )
-from .homotopy import EnrichedCategory, HomotopyCategoryData, homotopy_category, validate_enrichment
+from .homotopy import EnrichedCategory, HomotopyCategoryData, homotopy_category
 from .sieves import GrothendieckTopology, saturate_topology, validate_topology
 
 COMPOSE_SIGN = "∘"
@@ -149,10 +155,10 @@ def load_site(doc: dict) -> SiteDocument:
             if name not in known:
                 raise _err(f"unknown morphism name in edge: {name}")
     enriched = EnrichedCategory(category, tuple((a, b) for a, b in raw["edges"]))
-    report = validate_enrichment(enriched)
-    if not report:
-        raise _err(f"{report.law} at {report.witness}: {report.detail}")
-    homotopy = homotopy_category(enriched)
+    try:
+        homotopy = homotopy_category(enriched)
+    except ValueError as exc:
+        raise _err(str(exc)) from None
 
     for x, families in raw["covers"].items():
         if x not in objects:

@@ -16,6 +16,7 @@ from .core import (
 from .enumeration import enumerate_presheaves, reservoir
 from .induced import (
     TheoremViolation,
+    _presheaf_payload,
     check_comparison_lemmas,
     check_cover_reflecting,
     check_sheaf_transfer,
@@ -41,20 +42,26 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
     a sheaf, the unit is an iso after sheafification, the construction is
     idempotent, the colimit oracle agrees, and finite products and
     equalizers are preserved. Each presheaf, product and equalizer is
-    sheafified once, and morphisms are transported between the results."""
+    sheafified once, and morphisms are transported between the results. A
+    failure carries the presheaves it was found on."""
     label = "sheafification-engine"
+
+    def fail(detail: str, *culprits: SetPresheaf) -> list[CheckResult]:
+        return [CheckResult(label, "fail", detail, counterexample={
+            "presheaves": [_presheaf_payload(p) for p in culprits]})]
+
     sheafified = [sheafify(pre, top) for pre in presheaves]
     for pre, result in zip(presheaves, sheafified):
         if not classify_presheaf(result.sheaf, top).is_sheaf:
-            return [CheckResult(label, "fail", "sheafified presheaf does not classify as sheaf")]
+            return fail("sheafified presheaf does not classify as sheaf", pre)
         if not is_tau_iso(result.unit, top):
-            return [CheckResult(label, "fail", "unit is not an isomorphism after sheafification")]
+            return fail("unit is not an isomorphism after sheafification", pre)
         again = sheafify(result.sheaf, top)
         ok, witness = componentwise_bijection(again.unit)
         if not ok:
-            return [CheckResult(label, "fail", f"double sheafification moves sections at {witness}")]
+            return fail(f"double sheafification moves sections at {witness}", pre)
         if plus_construction_via_colimit(pre, top) != result.steps[0].presheaf:
-            return [CheckResult(label, "fail", "colimit oracle disagrees with minimal-sieve plus")]
+            return fail("colimit oracle disagrees with minimal-sieve plus", pre)
     pairs = list(pairwise(zip(presheaves, sheafified)))
     for (f, sf), (g, sg) in pairs:
         prod, p1, p2 = product_presheaf(f, g)
@@ -67,7 +74,7 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
         }
         ok, witness = componentwise_bijection(PresheafMorphism(sprod.sheaf, spair, comps))
         if not ok:
-            return [CheckResult(label, "fail", f"product comparison fails at {witness}")]
+            return fail(f"product comparison fails at {witness}", f, g)
         parallel = hom_presheaves(f, g)
         if len(parallel) >= 2:
             u, v = parallel[0], parallel[1]
@@ -79,8 +86,7 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
             for o in eq.cat.objects:
                 image = sorted(sincl.components[o][e] for e in seq.sheaf.value[o])
                 if image != sorted(set(image)) or image != sorted(target_incl.source.value[o]):
-                    return [CheckResult(
-                        label, "fail", f"equalizer comparison fails at {o}")]
+                    return fail(f"equalizer comparison fails at {o}", f, g)
     return [CheckResult(label, "pass",
                         f"{len(presheaves)} presheaves, {len(pairs)} exactness pairs",
                         data={"presheaves": len(presheaves), "exactness_pairs": len(pairs)})]

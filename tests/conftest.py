@@ -56,3 +56,24 @@ def all_sites(site_a, site_b, site_c, site_d, site_e):
 def random_sites():
     """Random sites for seeds 0-49, generated once per session."""
     return [random_site(seed) for seed in range(50)]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) records the arguments of every call to
+    module.<name>, through every hosite module that binds it, for one test."""
+    def count(module, name: str) -> list[tuple]:
+        calls: list[tuple] = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.split(".")[0] == "hosite":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+    return count

@@ -23,7 +23,7 @@ from hosite import (
     serialize_site,
     site_digest,
 )
-from hosite.cli import main
+from hosite.cli import build_parser, main, run_command
 import hosite.induced as induced_mod
 from hosite.siteio import SiteLoadError
 
@@ -160,6 +160,29 @@ def test_all_fixtures_self_validate(fixture_files):
     for name, path in fixture_files.items():
         code, out, err = run_cli(["validate", path])
         assert code == 0, (name, out, err)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_each_part_is_validated_once(fixture_files, count_calls, name):
+    # loading validates each part once; the validate verb re-runs nothing
+    # and lists the verdicts loading reached
+    calls = {fn: count_calls(sys.modules[f"hosite.{module}"], fn)
+             for module, fn in (("core", "validate_category"),
+                                  ("homotopy", "validate_enrichment"),
+                                  ("sieves", "validate_topology"),
+                                  ("core", "validate_presheaf"))}
+    site = parse_site(Path(fixture_files[name]).read_text(encoding="utf-8"))
+    assert {n: len(c) for n, c in calls.items()} == {
+        "validate_category": 1, "validate_enrichment": 1,
+        "validate_topology": 1, "validate_presheaf": len(site.presheaves)}
+    for c in calls.values():
+        c.clear()
+    args = build_parser().parse_args(["validate", fixture_files[name], "--seed", "0"])
+    report = run_command("validate", site, args)
+    assert not any(calls.values())
+    names = ["category", "enrichment", "topology"]
+    names += [f"presheaf:{p}" for p in sorted(site.presheaves)]
+    assert [(c.name, c.verdict, c.detail) for c in report.checks] == [(n, "pass", "") for n in names]
 
 
 def test_induce_output_fixture_b(fixture_files):

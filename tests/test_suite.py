@@ -1,16 +1,30 @@
 """Work counts of the site suite: every base presheaf is enumerated once per
-site, and every presheaf the engine battery sheafifies is sheafified once."""
+site, and every presheaf the engine battery sheafifies is sheafified once.
+Every failure branch of the suite yields a replayable counterexample."""
 from __future__ import annotations
 
 import importlib
-import sys
+import json
 from random import Random
 
 import pytest
 
 import hosite.enumeration as enumeration
+import hosite.induced as induced
 import hosite.suite as suite
-from hosite import fixture_site, hom_presheaves, run_site_suite
+from hosite import (
+    Sieve,
+    all_sieves,
+    fixture_site,
+    hom_presheaves,
+    load_site,
+    make_presheaf,
+    maximal_sieve,
+    run_site_suite,
+    serialize_site,
+    validate_presheaf,
+)
+from hosite.cli import main
 from hosite.enumeration import sample_presheaves
 from hosite.suite import ENGINE_SAMPLES
 
@@ -18,28 +32,10 @@ from hosite.suite import ENGINE_SAMPLES
 sheafify_mod = importlib.import_module("hosite.sheafify")
 
 
-def _count_calls(monkeypatch, module, name: str) -> list[tuple]:
-    """Record the arguments of every call to module.<name>, through every
-    hosite module that binds it."""
-    calls: list[tuple] = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod is not None and mod_name.split(".")[0] == "hosite":
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
-def test_each_category_enumerated_once(name, monkeypatch):
+def test_each_category_enumerated_once(name, count_calls):
     site = fixture_site(name)
-    calls = _count_calls(monkeypatch, enumeration, "enumerate_presheaves")
+    calls = count_calls(enumeration, "enumerate_presheaves")
     assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
     cats = [cat for cat, _ in calls]
     assert len(cats) == 2
@@ -47,13 +43,13 @@ def test_each_category_enumerated_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
-def test_engine_plus_constructions(name, monkeypatch):
+def test_engine_plus_constructions(name, count_calls):
     # 4 per presheaf (sheafify it and its sheaf), 2 per adjacent pair (the
     # product) and 2 more per pair with at least two parallel maps (the
     # equalizer); morphisms are transported, not re-sheafified
     site = fixture_site(name)
-    engine_calls = _count_calls(monkeypatch, suite, "engine_checks")
-    plus_calls = _count_calls(monkeypatch, sheafify_mod, "_plus")
+    engine_calls = count_calls(suite, "engine_checks")
+    plus_calls = count_calls(sheafify_mod, "_plus")
     run_site_suite(site, bound=2, seed=0)
     [(_, pres)] = engine_calls
     pairs = list(zip(pres, pres[1:]))
@@ -72,3 +68,150 @@ def test_engine_samples_come_from_the_transfer_pass(all_sites, random_sites, mon
         expected = sample_presheaves(site.category, 2, ENGINE_SAMPLES, Random(seed + 1))
         expected += [site.presheaves[n] for n in sorted(site.presheaves)]
         assert received.pop() == expected
+
+
+# Failure branches of the comparison suite. Each case forces one check to
+# fail by replacing a name the check reads; the report must still be a
+# complete, replayable counterexample.
+
+def _on_quotient(morphisms) -> bool:
+    return all(m.startswith("[") for m in morphisms)
+
+
+def _fixed_classification(on_quotient: str, on_base: str):
+    """classify_presheaf replaced by fixed kinds; a base witness names the
+    maximal sieve on the first object, so the converse search can read it."""
+    from hosite import Classification, maximal_sieve
+
+    def classify(pre, top):
+        if _on_quotient(pre.cat.morphisms):
+            return Classification(on_quotient)
+        x = pre.cat.objects[0]
+        return Classification(on_base, (x, maximal_sieve(pre.cat, x)))
+    return classify
+
+
+def _induced_by(covers_of):
+    """induced_topology replaced by a report whose covers are covers_of(ho, x)."""
+    from hosite import GrothendieckTopology, InducedTopologyReport
+
+    def fake(h, top):
+        return InducedTopologyReport(GrothendieckTopology(
+            h.ho, {x: frozenset(covers_of(h.ho, x)) for x in h.ho.objects}), True)
+    return fake
+
+
+def _equalizer_with_wrong_target():
+    """equalizer_presheaf whose every second call, the one on the sheafified
+    pair, reports an inclusion from a bogus subpresheaf."""
+    from types import SimpleNamespace
+    from hosite.core import equalizer_presheaf
+    calls = []
+
+    def fake(u, v):
+        eq, incl = equalizer_presheaf(u, v)
+        calls.append(None)
+        if len(calls) % 2:
+            return eq, incl
+        bogus = SimpleNamespace(value={o: ("bogus",) for o in eq.cat.objects})
+        return eq, SimpleNamespace(source=bogus)
+    return fake
+
+
+def _thicken_to_empty_and_back(h, j):
+    """A nonempty sieve thickens to the empty one, which thickens to the maximal."""
+    return Sieve(j.root, frozenset() if j.members else frozenset(h.base.arrows_into(j.root)))
+
+
+def _product_comparison_without_components():
+    from hosite.core import PresheafMorphism
+    return lambda source, target, comps: PresheafMorphism(
+        source, target, {o: {} for o in comps})
+
+
+_FAILURES = [
+    # (target check, module, name, replacement factory, expected detail prefix)
+    ("cover-reflecting", suite, "induced_topology",
+     lambda: _induced_by(all_sieves), "preimage of"),
+    ("iso-comparison", suite, "induced_topology",
+     lambda: _induced_by(lambda ho, x: [maximal_sieve(ho, x)]), "induced-iso"),
+    ("sheaf-implications", induced, "classify_presheaf",
+     lambda: _fixed_classification("separated-not-sheaf", "sheaf"), "base sheaf with"),
+    ("sheaf-implications", induced, "classify_presheaf",
+     lambda: _fixed_classification("not-separated", "separated-not-sheaf"), "base separated"),
+    ("sheaf-implications", induced, "classify_presheaf",
+     lambda: _fixed_classification("sheaf", "not-separated"), "separated original"),
+    ("thickening", induced, "thicken_sieve", lambda: _thicken_to_empty_and_back,
+     "thickening lost members; thickening is not idempotent; thickening changed"),
+    ("thickening", induced, "thicken_sieve",
+     lambda: lambda h, j: j, "distinct thickened sieves"),
+    ("sheaf-transfer", induced, "is_sheaf",
+     lambda: lambda pre, top: not _on_quotient(pre.cat.morphisms), "right Kan extension"),
+    ("sheafification-engine", suite, "classify_presheaf",
+     lambda: _fixed_classification("not-separated", "not-separated"), "sheafified presheaf"),
+    ("sheafification-engine", suite, "is_tau_iso",
+     lambda: lambda m, top: False, "unit is not"),
+    ("sheafification-engine", suite, "componentwise_bijection",
+     lambda: lambda m: (False, m.source.cat.objects[0]), "double sheafification"),
+    ("sheafification-engine", suite, "plus_construction_via_colimit",
+     lambda: lambda pre, top: None, "colimit oracle"),
+    ("sheafification-engine", suite, "PresheafMorphism",
+     _product_comparison_without_components, "product comparison"),
+    ("sheafification-engine", suite, "equalizer_presheaf",
+     _equalizer_with_wrong_target, "equalizer comparison"),
+]
+
+# f1 ~ f2 : x -> y with f1∘g = f2∘g = p for g : w -> x, and f1 generating
+# the covers of y: {f1, p} and {f2, p} are distinct covers with one bracket,
+# {[p]} is a non-maximal induced cover, and only the maximal sieve covers w
+_IDENTITY = {"0": "0", "1": "1"}
+_SITE = {
+    "objects": ["w", "x", "y"],
+    "morphisms": [{"name": "g", "dom": "w", "cod": "x"},
+                  {"name": "f1", "dom": "x", "cod": "y"},
+                  {"name": "f2", "dom": "x", "cod": "y"},
+                  {"name": "p", "dom": "w", "cod": "y"}],
+    "composition": {"f1∘g": "p", "f2∘g": "p"},
+    "edges": [["f1", "f2"]],
+    "covers": {"y": [["f1"]]},
+    "presheaves": {"K2": {"values": {o: ["0", "1"] for o in "wxy"},
+                          "restrictions": {m: _IDENTITY for m in ("g", "f1", "f2", "p")}}},
+}
+
+
+def _presheaf_payloads(node):
+    if isinstance(node, dict):
+        if set(node) == {"values", "restrictions"}:
+            yield node
+            return
+        for value in node.values():
+            yield from _presheaf_payloads(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _presheaf_payloads(value)
+
+
+@pytest.mark.parametrize("target, module, name, replacement, detail", _FAILURES,
+                         ids=[f"{t}-{n}-{i}" for i, (t, _, n, _, _) in enumerate(_FAILURES)])
+def test_forced_failure_is_a_replayable_counterexample(
+        target, module, name, replacement, detail, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "site.json"
+    path.write_text(serialize_site(_SITE), encoding="utf-8")
+    monkeypatch.setattr(module, name, replacement())
+    outputs = []
+    for _ in range(2):
+        assert main(["check-lemmas", str(path), "--seed", "3", "--json"]) == 2
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    check = next(c for c in report["checks"] if c["name"] == target and c["verdict"] == "fail")
+    assert check["detail"].startswith(detail)
+    counterexample = check["counterexample"]
+    site = load_site(counterexample.pop("site"))
+    assert site.digest == report["digest"]
+    payloads = list(_presheaf_payloads(counterexample))
+    assert payloads or target in ("cover-reflecting", "thickening")
+    for payload in payloads:
+        cat = site.homotopy.ho if _on_quotient(payload["restrictions"]) else site.category
+        pre = make_presheaf(cat, payload["values"], payload["restrictions"])
+        assert validate_presheaf(pre, cat), payload
