@@ -66,7 +66,6 @@ from .homotopy import (
     validate_enrichment,
 )
 from .induced import (
-    InducedTopologyReport,
     TheoremViolation,
     bracket_sieve,
     check_comparison_lemmas,

@@ -63,9 +63,9 @@ def _cmd_ho(site: SiteDocument, args) -> list[CheckResult]:
 
 
 def _cmd_induce(site: SiteDocument, args) -> list[CheckResult]:
-    rep = induced_topology(site.homotopy, site.topology)
+    induced = induced_topology(site.homotopy, site.topology)
     ho = site.homotopy.ho
-    data = {x: [format_sieve(ho, s) for s in rep.induced.covers_of(x)] for x in ho.objects}
+    data = {x: [format_sieve(ho, s) for s in induced.covers_of(x)] for x in ho.objects}
     return [
         CheckResult("identification", "pass", "both characterizations agree"),
         CheckResult("induced-covers", "info", "covering sieves per object", data=data),

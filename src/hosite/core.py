@@ -84,23 +84,26 @@ def make_category(objects, arrows, composition=None):
 
     ``arrows`` is a sequence of (name, dom, cod); identities are synthesized
     as ``id_<object>`` and their composites filled in. ``composition`` maps
-    (g, f) pairs of non-identity names to the composite name. The result is
-    NOT validated here; run validate_category.
+    (g, f) pairs of non-identity names to the composite name; an identity
+    name there, or among the arrows, raises ValueError. The result is NOT
+    validated here; run validate_category.
     """
     objects = tuple(objects)
     arrow_names = tuple(a[0] for a in arrows)
     identity = {o: "id_" + o for o in objects}
-    clash = set(arrow_names) & set(identity.values())
+    ids = set(identity.values())
+    clash = set(arrow_names) & ids
     if clash:
         raise ValueError(f"morphism name reserved for identities: {sorted(clash)!r}")
+    keyed = sorted(f"{g}∘{f}" for g, f in composition or () if g in ids or f in ids)
+    if keyed:
+        raise ValueError(f"composition entry keyed by an identity: {keyed[0]}")
     dom = {a[0]: a[1] for a in arrows}
     cod = {a[0]: a[2] for a in arrows}
     for o, i in identity.items():
         dom[i] = cod[i] = o
     morphisms = arrow_names + tuple(identity[o] for o in objects)
-    table: dict[tuple[str, str], str] = {}
-    if composition:
-        table.update({(g, f): h for (g, f), h in composition.items()})
+    table: dict[tuple[str, str], str] = dict(composition or {})
     for m in morphisms:
         d, c = dom.get(m), cod.get(m)
         if d in identity:
@@ -112,10 +115,10 @@ def make_category(objects, arrows, composition=None):
 
 def validate_category(cat: FiniteCategory) -> ValidationReport:
     """Check the category laws exhaustively; report the first violation."""
-    if len(set(cat.objects)) != len(cat.objects):
-        return _fail("structure", (), "duplicate object ids")
-    if len(set(cat.morphisms)) != len(cat.morphisms):
-        return _fail("structure", (), "duplicate morphism ids")
+    for kind, ids in (("object", cat.objects), ("morphism", cat.morphisms)):
+        if len(set(ids)) != len(ids):
+            twice = next(i for i in ids if ids.count(i) > 1)
+            return _fail("structure", (), f"duplicate {kind} id: {twice}")
     objset = set(cat.objects)
     for m in cat.morphisms:
         if cat.dom.get(m) not in objset or cat.cod.get(m) not in objset:
@@ -129,8 +132,10 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
 
     index = {m: k for k, m in enumerate(cat.morphisms)}
     for (g, f), h in sorted(cat.composition.items(), key=lambda kv: (index.get(kv[0][0], -1), index.get(kv[0][1], -1))):
-        if g not in index or f not in index or h not in index:
-            return _fail("composability-table", (g, f), "composition entry names an unknown morphism")
+        unknown = [m for m in (g, f, h) if m not in index]
+        if unknown:
+            return _fail("composability-table", (g, f),
+                         f"composition entry names an unknown morphism: {unknown[0]}")
         if cat.cod[f] != cat.dom[g]:
             return _fail("composability-table", (g, f), "composition defined on a non-composable pair")
         if cat.dom[h] != cat.dom[f] or cat.cod[h] != cat.cod[g]:
@@ -178,8 +183,9 @@ class SetPresheaf:
 
 
 def make_presheaf(cat, value, restrict) -> SetPresheaf:
-    """Normalize presheaf data: sort values, synthesize identity restrictions."""
-    val = {o: tuple(sorted(value.get(o, ()))) for o in cat.objects}
+    """Normalize presheaf data: sort values, synthesize identity restrictions.
+    Values filed under unknown objects are kept, for validate_presheaf to reject."""
+    val = {o: tuple(sorted(value.get(o, ()))) for o in (*cat.objects, *value)}
     res = {m: dict(t) for m, t in restrict.items()}
     for o in cat.objects:
         res.setdefault(cat.identity[o], {s: s for s in val[o]})
@@ -205,10 +211,17 @@ def validate_presheaf(pre: SetPresheaf, cat: FiniteCategory | None = None) -> Va
         cat = pre.cat
     elif pre.cat != cat:
         return _fail("structure", (), "presheaf declared over a different category")
-    if set(pre.value) != set(cat.objects):
-        return _fail("structure", (), "value assignment does not cover the objects")
-    if set(pre.restrict) != set(cat.morphisms):
-        return _fail("structure", (), "restriction assignment does not cover the morphisms")
+    odd = sorted(set(pre.value) ^ set(cat.objects))
+    if odd:
+        return _fail("structure", (), f"value assignment does not match the objects at {', '.join(odd)}")
+    odd = sorted(set(pre.restrict) ^ set(cat.morphisms))
+    if odd:
+        return _fail("structure", (), f"restriction assignment does not match the morphisms at {', '.join(odd)}")
+    for o in cat.objects:
+        sections = pre.value[o]
+        if len(set(sections)) != len(sections):
+            twice = next(s for s in sections if sections.count(s) > 1)
+            return _fail("structure", (o,), f"value({o}) repeats section {twice}")
     for m in cat.morphisms:
         table = pre.restrict[m]
         src, tgt = set(pre.value[cat.cod[m]]), set(pre.value[cat.dom[m]])

@@ -64,8 +64,10 @@ def validate_enrichment(enr: EnrichedCategory) -> ValidationReport:
     cat = enr.base
     known = set(cat.morphisms)
     for a, b in enr.edges:
-        if a not in known or b not in known:
-            return _fail("edge-endpoints", (a, b), "edge endpoint is not a morphism")
+        unknown = [m for m in (a, b) if m not in known]
+        if unknown:
+            return _fail("edge-endpoints", (a, b),
+                         f"edge endpoint is not a morphism: unknown morphism {unknown[0]}")
         if cat.dom[a] != cat.dom[b] or cat.cod[a] != cat.cod[b]:
             return _fail("edge-endpoints", (a, b), "edge endpoints are not parallel")
     least = enr._least

@@ -11,7 +11,6 @@ replayable counterexample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Iterable
 
@@ -60,14 +59,10 @@ def is_bracket_cover(h: HomotopyCategoryData, top: GrothendieckTopology, u: Siev
     return bool(is_tau_iso(gamma_star_morphism(h, sieve_inclusion(h.ho, u)), top))
 
 
-@dataclass(frozen=True)
-class InducedTopologyReport:
-    induced: GrothendieckTopology
-    agreement: bool
-
-
-def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> InducedTopologyReport:
-    """Compute the induced covers both ways and insist they agree."""
+def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> GrothendieckTopology:
+    """Compute the induced covers both ways and insist they agree: a
+    disagreement, or covers that fail the topology axioms, raise
+    TheoremViolation."""
     ho = h.ho
     via_bracket = {
         x: frozenset(bracket_sieve(h, j) for j in top.covers.get(x, frozenset()))
@@ -77,9 +72,7 @@ def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> Indu
         x: frozenset(u for u in all_sieves(ho, x) if is_bracket_cover(h, top, u))
         for x in ho.objects
     }
-    agreement = via_bracket == via_iso
-    induced = GrothendieckTopology(ho, via_iso)
-    if not agreement:
+    if via_bracket != via_iso:
         diff = {}
         for x in ho.objects:
             only_bracket = sorted(format_sieve(ho, s) for s in via_bracket[x] - via_iso[x])
@@ -88,12 +81,13 @@ def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> Indu
                 diff[x] = {"only_bracket": only_bracket, "only_iso_test": only_iso}
         raise TheoremViolation(
             "bracket covers and isomorphism-test covers disagree", {"disagreement": diff})
+    induced = GrothendieckTopology(ho, via_iso)
     report = validate_topology(induced)
     if not report:
         raise TheoremViolation(
             f"induced covers do not form a topology ({report.law} at {report.witness})",
             {"validation": report.detail})
-    return InducedTopologyReport(induced, True)
+    return induced
 
 
 def check_cover_reflecting(h: HomotopyCategoryData, top: GrothendieckTopology,

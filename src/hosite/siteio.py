@@ -5,11 +5,14 @@ composable non-identity pairs (keys are "g∘f" strings), homotopy edges,
 topology generators, and optional named presheaves. Identities are
 synthesized as ``id_<object>`` so counterexamples stay hand-editable.
 
-``load_site`` is the one place a site is validated: the document's shape,
-then the category laws, the enrichment (through the one ``homotopy_category``
-call), the saturated topology and every presheaf. Any failure is a
-``SiteLoadError``, so every loaded ``SiteDocument`` has passed them all and
-later readers trust it.
+``load_site`` is the one place a site is validated. It checks the document's
+JSON shape and the form of the entries it translates (morphism entries,
+"g∘f" keys, two-endpoint edges); every law is then checked once, by the
+validator that owns it: the category laws, the enrichment (through the one
+``homotopy_category`` call), the covers (by ``saturate_topology``), the
+saturated topology and every presheaf. Any failure is a ``SiteLoadError``,
+so every loaded ``SiteDocument`` has passed them all and later readers
+trust it.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from .core import (
     FiniteCategory,
     SetPresheaf,
+    ValidationReport,
     make_category,
     make_presheaf,
     validate_category,
@@ -102,6 +106,12 @@ def _fits(x, shape) -> bool:
     return all(_fits(x[k], sub) for k, sub in shape.items() if k in x)
 
 
+def _check(report: ValidationReport, prefix: str = "") -> None:
+    """Raise the load error for a failing validator report."""
+    if not report:
+        raise _err(f"{prefix}{report.law} at {report.witness}: {report.detail}")
+
+
 def load_site(doc: dict) -> SiteDocument:
     if not isinstance(doc, dict):
         raise _err("site document must be a JSON object")
@@ -113,80 +123,35 @@ def load_site(doc: dict) -> SiteDocument:
             raise _err(f"malformed {key}: expected the lists and objects of strings of the site format")
     raw = normalize_raw(doc)
 
-    objects = raw["objects"]
-    if len(set(objects)) != len(objects):
-        raise _err("duplicate object id")
     arrows = []
     for m in raw["morphisms"]:
         if set(m) != {"name", "dom", "cod"}:
             raise _err(f"morphism entry needs name/dom/cod: {m!r}")
-        if m["dom"] not in objects or m["cod"] not in objects:
-            raise _err(f"morphism {m['name']} has unknown dom/cod")
         arrows.append((m["name"], m["dom"], m["cod"]))
-
     composition = {}
     for key, h in raw["composition"].items():
         if COMPOSE_SIGN not in key:
             raise _err(f"composition key must look like 'g{COMPOSE_SIGN}f': {key!r}")
         g, f = key.split(COMPOSE_SIGN, 1)
         composition[(g, f)] = h
-
-    arrow_names = {a[0] for a in arrows}
-    for (g, f), h in composition.items():
-        for name in (g, f):
-            if name not in arrow_names:
-                raise _err(f"unknown morphism name in composition table: {name}")
-        if h not in arrow_names and not h.startswith("id_"):
-            raise _err(f"unknown morphism name in composition table: {h}")
-
-    try:
-        category = make_category(objects, arrows, composition)
-    except ValueError as exc:
-        raise _err(str(exc)) from None
-    report = validate_category(category)
-    if not report:
-        raise _err(f"{report.law} at {report.witness}: {report.detail}")
-
-    known = set(category.morphisms)
     for edge in raw["edges"]:
         if len(edge) != 2:
             raise _err(f"edge must name two endpoints: {edge!r}")
-        for name in edge:
-            if name not in known:
-                raise _err(f"unknown morphism name in edge: {name}")
-    enriched = EnrichedCategory(category, tuple((a, b) for a, b in raw["edges"]))
+
     try:
+        category = make_category(raw["objects"], arrows, composition)
+        _check(validate_category(category))
+        enriched = EnrichedCategory(category, tuple((a, b) for a, b in raw["edges"]))
         homotopy = homotopy_category(enriched)
+        topology = saturate_topology(category, raw["covers"])
     except ValueError as exc:
         raise _err(str(exc)) from None
-
-    for x, families in raw["covers"].items():
-        if x not in objects:
-            raise _err(f"covers filed under unknown object: {x}")
-        for family in families:
-            for name in family:
-                if name not in known:
-                    raise _err(f"unknown morphism name in cover family: {name}")
-                if category.cod[name] != x:
-                    raise _err(f"topology generator {name} does not have codomain {x}")
-    topology = saturate_topology(category, raw["covers"])
-    report = validate_topology(topology)
-    if not report:
-        raise _err(f"saturation produced an invalid topology ({report.law}): {report.detail}")
+    _check(validate_topology(topology), "saturation produced an invalid topology: ")
 
     presheaves = {}
     for name, data in raw["presheaves"].items():
-        for o in data["values"]:
-            if o not in objects:
-                raise _err(f"presheaf {name} assigns a value to unknown object {o}")
-        for m in data["restrictions"]:
-            if m not in known:
-                raise _err(f"presheaf {name} restricts along unknown morphism {m}")
-        pre = make_presheaf(category, data["values"], data["restrictions"])
-        report = validate_presheaf(pre, category)
-        if not report:
-            raise _err(f"presheaf {name}: {report.law} at {report.witness}: {report.detail}")
-        presheaves[name] = pre
+        presheaves[name] = make_presheaf(category, data["values"], data["restrictions"])
+        _check(validate_presheaf(presheaves[name], category), f"presheaf {name}: ")
 
     return SiteDocument(raw, site_digest(raw), category, enriched,
                         homotopy, topology, presheaves)

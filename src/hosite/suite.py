@@ -98,21 +98,21 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
     h, top = site.homotopy, site.topology
     out: list[CheckResult] = []
     try:
-        rep = induced_topology(h, top)
+        induced = induced_topology(h, top)
     except TheoremViolation as exc:
         out.append(CheckResult("identification", "fail", str(exc),
                                counterexample={"site": site.raw, **exc.counterexample}))
         return out
-    covers = sum(len(v) for v in rep.induced.covers.values())
+    covers = sum(len(v) for v in induced.covers.values())
     out.append(CheckResult("identification", "pass",
                            f"both characterizations agree on {covers} covers",
                            data={"covers": covers}))
-    out.append(check_cover_reflecting(h, top, rep.induced))
-    out.extend(check_comparison_lemmas(h, top, rep.induced, bound=bound, seed=seed))
+    out.append(check_cover_reflecting(h, top, induced))
+    out.extend(check_comparison_lemmas(h, top, induced, bound=bound, seed=seed))
     sample: list[SetPresheaf] = []
     base = reservoir(enumerate_presheaves(site.category, bound), ENGINE_SAMPLES,
                      Random(seed + 1), sample)
-    out.append(check_sheaf_transfer(h, top, rep.induced, base))
+    out.append(check_sheaf_transfer(h, top, induced, base))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

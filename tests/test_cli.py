@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -249,6 +250,30 @@ def test_malformed_document_is_load_error(tmp_path, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, named", [
+    (("objects",), ["x", "y", "y"], "y"),
+    (("morphisms", 0, "dom"), "w", "f1"),
+    (("composition",), {"nope∘f1": "f1"}, "nope"),
+    (("composition",), {"id_y∘f1": "f2"}, "id_y"),
+    (("edges",), [["f1", "nope"]], "nope"),
+    (("covers",), {"nope": [["f1"]]}, "nope"),
+    (("covers",), {"y": [["nope"]]}, "nope"),
+    (("presheaves", "K2", "values", "nope"), ["0"], "nope"),
+    (("presheaves", "K2", "restrictions", "nope"), {"0": "0"}, "nope"),
+    (("presheaves", "K2", "values", "y"), ["0", "1", "1"], "1"),
+], ids=["duplicate-object", "unknown-dom", "composition-unknown-name",
+        "composition-identity-key", "edge-unknown-endpoint", "covers-unknown-object",
+        "cover-unknown-generator", "presheaf-unknown-object", "presheaf-unknown-morphism",
+        "presheaf-repeated-section"])
+def test_malformed_site_names_the_offending_id(path, value, named):
+    # each law is checked by its validator; the load error still names the culprit
+    doc = json.loads(serialize_site(fixture_doc("B")))
+    _get(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(SiteLoadError) as err:
+        parse_site(json.dumps(doc))
+    assert named in str(err.value)
+
+
 def _paths(node, prefix=()):
     """The path of every node below ``node``, as tuples of keys and indices."""
     if isinstance(node, dict):
@@ -309,6 +334,55 @@ def test_mutated_document_is_never_an_internal_error(fuzz_path, name, op, pick, 
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("load error:")
+
+
+# SHA-256 of the verdict lines of every single mutation of fixtures A-E
+# (1,537 documents, 1,473 of them rejected), recorded when load_site still
+# checked every name itself: a check moved into its validator must keep
+# each verdict
+MUTANT_VERDICTS = "4d1f3d73842bd7cf01a50b551ad3a30f3725fec96ba3f558d2666ef5def56f69"
+
+
+def _mutant_verdicts() -> list[str]:
+    """One line (fixture, op, path, value, accepted) per mutation that
+    test_mutated_document_is_never_an_internal_error can draw: every
+    applicable path of each op, and every retype value."""
+    lines = []
+    for name in FIXTURE_NAMES:
+        text = serialize_site(fixture_doc(name))
+        base = json.loads(text)
+        strings = [p for p in _paths(base) if isinstance(_get(base, p), str)]
+        keyed = [p for p in _paths(base) if isinstance(p[-1], str)]
+        for op, paths, values in (
+                ("drop-key", keyed, [None]),
+                ("retype", _paths(base), [0, 1.5, None, True, "s", [], {}, [1], {"k": 1}, [["x"]]]),
+                ("unknown-value", strings, [None]),
+                ("unknown-key", keyed, [None])):
+            for path in paths:
+                for new in values:
+                    doc = json.loads(text)
+                    parent, key = _get(doc, path[:-1]), path[-1]
+                    if op == "drop-key":
+                        del parent[key]
+                    elif op == "retype":
+                        parent[key] = new
+                    elif op == "unknown-value":
+                        parent[key] = _unknown(parent[key])
+                    else:
+                        parent[_unknown(key)] = parent.pop(key)
+                    try:
+                        parse_site(json.dumps(doc))
+                        accepted = True
+                    except SiteLoadError:
+                        accepted = False
+                    lines.append(json.dumps([name, op, list(path), new, accepted]))
+    return lines
+
+
+def test_mutant_verdicts_are_frozen():
+    lines = _mutant_verdicts()
+    assert (len(lines), sum(line.endswith("false]") for line in lines)) == (1537, 1473)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MUTANT_VERDICTS
 
 
 def test_fixture_verb_round_trips(tmp_path):

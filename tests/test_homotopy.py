@@ -305,7 +305,7 @@ def test_gamma_lower_star_transfers_sheaves_on_fixtures(site_b, site_d, site_e):
     from hosite import induced_topology
     for site in (site_b, site_d, site_e):
         h = site.homotopy
-        induced = induced_topology(h, site.topology).induced
+        induced = induced_topology(h, site.topology)
         for pre in enumerate_presheaves(h.base, 2):
             if is_sheaf(pre, site.topology):
                 assert is_sheaf(gamma_lower_star(h, pre), induced)

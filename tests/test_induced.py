@@ -56,17 +56,16 @@ def test_is_bracket_cover_examples(site_b):
 
 def test_induced_topology_fixture_b(site_b):
     h = site_b.homotopy
-    rep = induced_topology(h, site_b.topology)
-    assert rep.agreement
-    assert rep.induced.covers["y"] == frozenset([
+    induced = induced_topology(h, site_b.topology)
+    assert induced.covers["y"] == frozenset([
         Sieve("y", frozenset(["[f1]"])), maximal_sieve(h.ho, "y")])
-    assert rep.induced.covers["x"] == frozenset([maximal_sieve(h.ho, "x")])
-    assert validate_topology(rep.induced)
+    assert induced.covers["x"] == frozenset([maximal_sieve(h.ho, "x")])
+    assert validate_topology(induced)
 
 
 def test_induced_topology_trivial_on_a(site_a):
-    rep = induced_topology(site_a.homotopy, site_a.topology)
-    assert rep.induced.covers["p"] == frozenset([maximal_sieve(site_a.homotopy.ho, "p")])
+    induced = induced_topology(site_a.homotopy, site_a.topology)
+    assert induced.covers["p"] == frozenset([maximal_sieve(site_a.homotopy.ho, "p")])
 
 
 def _relabel_through_gamma(h, top):
@@ -79,8 +78,8 @@ def _relabel_through_gamma(h, top):
 
 def test_induced_equals_input_on_discrete(site_c):
     h = site_c.homotopy
-    rep = induced_topology(h, site_c.topology)
-    assert rep.induced == _relabel_through_gamma(h, site_c.topology)
+    induced = induced_topology(h, site_c.topology)
+    assert induced == _relabel_through_gamma(h, site_c.topology)
 
 
 def test_all_topologies_on_discrete_base_are_fixed(site_c):
@@ -106,15 +105,15 @@ def test_all_topologies_on_discrete_base_are_fixed(site_c):
         if not validate_topology(top):
             continue
         count += 1
-        rep = induced_topology(h, top)
-        assert rep.induced == _relabel_through_gamma(h, top)
+        induced = induced_topology(h, top)
+        assert induced == _relabel_through_gamma(h, top)
     assert count >= 3
 
 
 def test_cover_reflecting_on_fixtures(all_sites):
     for site in all_sites.values():
-        rep = induced_topology(site.homotopy, site.topology)
-        result = check_cover_reflecting(site.homotopy, site.topology, rep.induced)
+        induced = induced_topology(site.homotopy, site.topology)
+        result = check_cover_reflecting(site.homotopy, site.topology, induced)
         assert result.verdict == "pass"
 
 
@@ -128,8 +127,8 @@ def test_cover_reflecting_preimage_example(site_b):
 
 def test_comparison_lemmas_on_fixture_b(site_b):
     h = site_b.homotopy
-    rep = induced_topology(h, site_b.topology)
-    results = {c.name: c for c in check_comparison_lemmas(h, site_b.topology, rep.induced)}
+    induced = induced_topology(h, site_b.topology)
+    results = {c.name: c for c in check_comparison_lemmas(h, site_b.topology, induced)}
     assert results["iso-comparison"].verdict == "pass"
     assert results["sheaf-implications"].verdict == "pass"
     assert results["converse-witness"].data["found"] is True
@@ -140,8 +139,8 @@ def test_comparison_lemmas_on_fixture_b(site_b):
 
 def test_comparison_lemmas_discrete_has_no_witness(site_c):
     h = site_c.homotopy
-    rep = induced_topology(h, site_c.topology)
-    results = {c.name: c for c in check_comparison_lemmas(h, site_c.topology, rep.induced)}
+    induced = induced_topology(h, site_c.topology)
+    results = {c.name: c for c in check_comparison_lemmas(h, site_c.topology, induced)}
     assert results["converse-witness"].data["found"] is False
 
 
@@ -151,7 +150,7 @@ def test_discrete_implications_hold_with_converses(site_c):
     from hosite import classify_presheaf, gamma_star
     from hosite.enumeration import enumerate_presheaves
     h = site_c.homotopy
-    induced = induced_topology(h, site_c.topology).induced
+    induced = induced_topology(h, site_c.topology)
     for pre in enumerate_presheaves(h.ho, 2):
         assert classify_presheaf(pre, induced).kind == \
             classify_presheaf(gamma_star(h, pre), site_c.topology).kind
@@ -159,8 +158,8 @@ def test_discrete_implications_hold_with_converses(site_c):
 
 def test_sheaf_transfer_on_fixtures(all_sites):
     for site in all_sites.values():
-        rep = induced_topology(site.homotopy, site.topology)
-        result = check_sheaf_transfer(site.homotopy, site.topology, rep.induced,
+        induced = induced_topology(site.homotopy, site.topology)
+        result = check_sheaf_transfer(site.homotopy, site.topology, induced,
                                       enumerate_presheaves(site.category, 2))
         assert result.verdict == "pass"
 
@@ -181,20 +180,19 @@ def test_monotonicity_of_induced(site_b):
     large = saturate_topology(cat, {"y": [["f1", "f2"]], "x": [[]]})
     for x in cat.objects:
         assert small.covers[x] <= large.covers[x]
-    rep_small = induced_topology(h, small)
-    rep_large = induced_topology(h, large)
+    induced_small = induced_topology(h, small)
+    induced_large = induced_topology(h, large)
     for x in cat.objects:
-        assert rep_small.induced.covers[x] <= rep_large.induced.covers[x]
+        assert induced_small.covers[x] <= induced_large.covers[x]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=5000))
 def test_random_site_agreement(seed):
     site = random_site(seed)
-    rep = induced_topology(site.homotopy, site.topology)
-    assert rep.agreement
-    assert validate_topology(rep.induced)
-    assert check_cover_reflecting(site.homotopy, site.topology, rep.induced).verdict == "pass"
+    induced = induced_topology(site.homotopy, site.topology)
+    assert validate_topology(induced)
+    assert check_cover_reflecting(site.homotopy, site.topology, induced).verdict == "pass"
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -205,9 +203,9 @@ def test_random_discrete_collapse(seed):
     from hosite import EnrichedCategory, homotopy_category
     site = random_site(seed)
     h = homotopy_category(EnrichedCategory(site.category, ()))
-    rep = induced_topology(h, site.topology)
+    induced = induced_topology(h, site.topology)
     assert len(set(h.gamma.values())) == len(site.category.morphisms)
-    assert rep.induced == _relabel_through_gamma(h, site.topology)
+    assert induced == _relabel_through_gamma(h, site.topology)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -223,10 +221,10 @@ def test_random_site_monotonicity(seed):
     bigger = saturate_topology(cat, extra)
     for x in cat.objects:
         assert top.covers[x] <= bigger.covers[x]
-    rep_small = induced_topology(site.homotopy, top)
-    rep_large = induced_topology(site.homotopy, bigger)
+    induced_small = induced_topology(site.homotopy, top)
+    induced_large = induced_topology(site.homotopy, bigger)
     for x in cat.objects:
-        assert rep_small.induced.covers[x] <= rep_large.induced.covers[x]
+        assert induced_small.covers[x] <= induced_large.covers[x]
 
 
 def test_thickening_properties_on_fixtures(all_sites):

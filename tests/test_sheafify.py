@@ -136,7 +136,7 @@ def test_sheaf_test_agrees_with_family_keys(all_sites, random_sites):
     checked = 0
     for site, bound in cases:
         h = site.homotopy
-        induced = induced_topology(h, site.topology).induced
+        induced = induced_topology(h, site.topology)
         for cat, top in ((h.base, site.topology), (h.ho, induced)):
             for pre in enumerate_presheaves(cat, bound):
                 expected = classify_by_families(pre, top)
@@ -212,7 +212,7 @@ def test_cover_criterion_on_all_fixtures(all_sites):
 def test_is_tau_iso_agrees_with_sheafification(all_sites, random_sites):
     for site in [*all_sites.values(), *random_sites[:20]]:
         h, top = site.homotopy, site.topology
-        induced = induced_topology(h, top).induced
+        induced = induced_topology(h, top)
         cases = []
         for cat, t in ((h.base, top), (h.ho, induced)):
             for x in cat.objects:

@@ -92,12 +92,12 @@ def _fixed_classification(on_quotient: str, on_base: str):
 
 
 def _induced_by(covers_of):
-    """induced_topology replaced by a report whose covers are covers_of(ho, x)."""
-    from hosite import GrothendieckTopology, InducedTopologyReport
+    """induced_topology replaced by one whose covers are covers_of(ho, x)."""
+    from hosite import GrothendieckTopology
 
     def fake(h, top):
-        return InducedTopologyReport(GrothendieckTopology(
-            h.ho, {x: frozenset(covers_of(h.ho, x)) for x in h.ho.objects}), True)
+        return GrothendieckTopology(
+            h.ho, {x: frozenset(covers_of(h.ho, x)) for x in h.ho.objects})
     return fake
 
 

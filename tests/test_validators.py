@@ -83,6 +83,9 @@ CASES = [
      (SetPresheaf(ARROW, {"a": ("0",)}, ONE_RESTRICT),), "structure", (), "value assignment"),
     ("presheaf-restriction-cover", validate_presheaf,
      (SetPresheaf(ARROW, ONE, {"f": {"0": "0"}}),), "structure", (), "restriction assignment"),
+    ("presheaf-repeated-section", validate_presheaf,
+     (SetPresheaf(ARROW, {"a": ("0",), "b": ("0", "0")}, ONE_RESTRICT),), "structure", ("b",),
+     "repeats section 0"),
     ("presheaf-restriction-map", validate_presheaf,
      (SetPresheaf(ARROW, ONE, {**ONE_RESTRICT, "f": {}}),), "restriction-map", ("f",),
      "total map"),
