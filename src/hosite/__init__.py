@@ -62,7 +62,6 @@ from .homotopy import (
     gamma_star,
     gamma_star_morphism,
     homotopy_category,
-    pi0,
     validate_enrichment,
 )
 from .induced import (

@@ -25,18 +25,6 @@ from .core import PASS, FiniteCategory, PresheafMorphism, SetPresheaf, Validatio
 from .util import UnionFind
 
 
-def pi0(vertices, edges) -> tuple[tuple[str, ...], ...]:
-    """Connected components of a reflexive graph (zig-zag closure)."""
-    verts = sorted(set(vertices))
-    vset = set(verts)
-    uf = UnionFind(verts)
-    for a, b in edges:
-        if a not in vset or b not in vset:
-            raise ValueError(f"edge endpoint is not a vertex: {a if a not in vset else b}")
-        uf.union(a, b)
-    return tuple(tuple(members) for _, members in sorted(uf.classes().items()))
-
-
 @dataclass(frozen=True)
 class EnrichedCategory:
     """A finite category whose hom-sets carry homotopy edges."""

@@ -5,6 +5,8 @@ per topology in a cover plan (``SievePlan``). At the least cover J of x,
 restriction of P(x) to families over J is tested for injectivity on tuples of
 sections; every canonical family matches, so an injective map is onto iff
 there are no more matching families than |P(x)| (the count stops past it).
+``sheaf_tests`` gives both halves with the maps they read, so the presheaf
+walk decides each where its last map is set; ``is_sheaf`` shares them.
 The plus-construction is the filtered colimit, over covering sieves ordered
 by reverse inclusion, of matching families; that poset has the least cover as
 its maximum, so the colimit is computed there: classes are named by their
@@ -18,6 +20,7 @@ witness is the first object, in declaration order, where either check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
@@ -33,11 +36,12 @@ class MatchingFamily:
     assignment: tuple[tuple[str, str], ...]
 
 
-def _families(pre: SetPresheaf, plan: SievePlan):
+def _families(value, restrict, plan: SievePlan):
     """The matching families over the planned sieve, each once, in the
     backtracking order of ``plan.members``; each is yielded as the same dict
-    from member to section, so a caller that keeps one copies it."""
-    restrict, value, doms = pre.restrict, pre.value, plan.doms
+    from member to section, so a caller that keeps one copies it. Of
+    ``restrict`` it reads only the maps g of the plan's triggers."""
+    doms = plan.doms
     checks = [[(restrict[g], f, fg) for g, f, fg in t] for t in plan.triggers]
     cur: dict[str, str] = {}
 
@@ -51,7 +55,7 @@ def _families(pre: SetPresheaf, plan: SievePlan):
 
 
 def _family_dicts(pre: SetPresheaf, plan: SievePlan) -> list[dict[str, str]]:
-    return [dict(fam) for fam in _families(pre, plan)]
+    return [dict(fam) for fam in _families(pre.value, pre.restrict, plan)]
 
 
 def family_key(fam: dict[str, str]) -> str:
@@ -85,25 +89,55 @@ class Classification:
         return self.kind != "not-separated"
 
 
+def _sheaf_plans(top: GrothendieckTopology):
+    """(x, plan) for each object whose least cover is not maximal, in
+    declaration order: the canonical map to families over a maximal sieve is
+    always a bijection, so only these covers can fail."""
+    for x, plan in top._cover_plan.items():
+        if len(plan.members) != len(top.base.arrows_into(x)):
+            yield x, plan
+
+
+def _injective(restrict, plan: SievePlan, sections) -> bool:
+    """Whether the sections restrict to distinct tuples over the plan's
+    members; reads only the members' maps."""
+    tables = [restrict[f] for f in plan.members]
+    return len({tuple([t[s] for t in tables]) for s in sections}) == len(sections)
+
+
+def _exact_family_count(value, restrict, plan: SievePlan, n: int) -> bool:
+    """Whether there are exactly n matching families over the plan; the
+    count stops past n."""
+    return sum(1 for _ in islice(_families(value, restrict, plan), n + 1)) == n
+
+
 def _sheaf_condition(pre: SetPresheaf, top: GrothendieckTopology):
     """Per object with its minimal covering sieve, skipping maximal ones:
     (x, sieve, injective, bijective) for the canonical map from sections of
     x to matching families over the sieve.
 
-    The canonical map to families over the maximal sieve is always a
-    bijection, injectivity at the minimal sieve implies injectivity at every
-    larger cover, and bijectivity at the minimal sieves plus separatedness
-    gives the full sheaf condition, so the minimal sieves decide the
-    classification for every cover at once.
+    Injectivity at the minimal sieve implies injectivity at every larger
+    cover, and bijectivity at the minimal sieves plus separatedness gives the
+    full sheaf condition, so the minimal sieves decide the classification
+    for every cover at once.
     """
-    for x, plan in top._cover_plan.items():
-        if len(plan.members) == len(top.base.arrows_into(x)):
-            continue
-        sections = pre.value[x]
-        tables = [pre.restrict[f] for f in plan.members]
-        injective = len({tuple([t[s] for t in tables]) for s in sections}) == len(sections)
-        yield x, plan.sieve, injective, injective and len(sections) == sum(
-            1 for _ in islice(_families(pre, plan), len(sections) + 1))
+    value, restrict = pre.value, pre.restrict
+    for x, plan in _sheaf_plans(top):
+        sections = value[x]
+        injective = _injective(restrict, plan, sections)
+        yield x, plan.sieve, injective, injective and _exact_family_count(
+            value, restrict, plan, len(sections))
+
+
+def sheaf_tests(top: GrothendieckTopology, value):
+    """The sheaf test for presheaves with these values, as (reads, test)
+    pairs: ``test(restrict)`` decides one half of the test at one least cover
+    and reads only the maps in ``reads``. A sheaf passes all of them: a count
+    other than |P(x)| already rules out a bijection."""
+    for x, plan in _sheaf_plans(top):
+        yield plan.members, partial(_injective, plan=plan, sections=value[x])
+        reads = {g for checks in plan.triggers for g, _, _ in checks}
+        yield reads, partial(_exact_family_count, value, plan=plan, n=len(value[x]))
 
 
 def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:

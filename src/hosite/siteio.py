@@ -157,9 +157,20 @@ def load_site(doc: dict) -> SiteDocument:
                         homotopy, topology, presheaves)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a load error
+    rather than silently taking its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise _err(f"repeated key: {key}")
+        doc[key] = value
+    return doc
+
+
 def parse_site(text: str) -> SiteDocument:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise _err(f"syntax error: {exc}") from None
     return load_site(doc)

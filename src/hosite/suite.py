@@ -13,7 +13,7 @@ from .core import (
     hom_presheaves,
     product_presheaf,
 )
-from .enumeration import enumerate_presheaves, reservoir
+from .enumeration import sheaves_and_sample
 from .induced import (
     TheoremViolation,
     _presheaf_payload,
@@ -93,8 +93,9 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
 
 
 def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[CheckResult]:
-    """Everything checkable on one site, as a flat list of results. The engine
-    battery samples the base presheaves from the sheaf-transfer pass."""
+    """Everything checkable on one site, as a flat list of results. One walk
+    of the base presheaves decides which are sheaves, for the sheaf-transfer
+    check, and samples the engine battery's presheaves."""
     h, top = site.homotopy, site.topology
     out: list[CheckResult] = []
     try:
@@ -110,9 +111,9 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
     out.append(check_cover_reflecting(h, top, induced))
     out.extend(check_comparison_lemmas(h, top, induced, bound=bound, seed=seed))
     sample: list[SetPresheaf] = []
-    base = reservoir(enumerate_presheaves(site.category, bound), ENGINE_SAMPLES,
-                     Random(seed + 1), sample)
-    out.append(check_sheaf_transfer(h, top, induced, base))
+    sheaves = sheaves_and_sample(site.category, bound, top, ENGINE_SAMPLES,
+                                 Random(seed + 1), sample)
+    out.append(check_sheaf_transfer(h, induced, sheaves))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

@@ -12,7 +12,9 @@ decided here by comparing the string keys of the canonical families with
 those of every matching family, against which the package's tuple-and-count
 test is checked. Associativity of a partial composition table is decided
 here by a rescan of every triple, against which the random-site generator's
-per-slot check is checked at every node of its search.
+per-slot check is checked at every node of its search. The connected
+components of the homotopy edges are computed here, against which the
+fibres of gamma are checked.
 """
 from __future__ import annotations
 
@@ -319,3 +321,15 @@ def associative_so_far(table, pairs, names) -> bool:
                 if left is not None and left != table.get((hg, f), left):
                     return False
     return True
+
+
+def pi0(vertices, edges) -> tuple[tuple[str, ...], ...]:
+    """Connected components of a reflexive graph (zig-zag closure)."""
+    verts = sorted(set(vertices))
+    vset = set(verts)
+    uf = UnionFind(verts)
+    for a, b in edges:
+        if a not in vset or b not in vset:
+            raise ValueError(f"edge endpoint is not a vertex: {a if a not in vset else b}")
+        uf.union(a, b)
+    return tuple(tuple(members) for _, members in sorted(uf.classes().items()))

@@ -250,6 +250,19 @@ def test_malformed_document_is_load_error(tmp_path, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"objects": ["x"], "objects": ["x", "y"]}', "objects"),
+    ('{"objects": ["x"], "covers": {"x": [], "x": [["id_x"]]}}', "x"),
+], ids=["top-level", "inside-covers"])
+def test_repeated_key_is_load_error(tmp_path, text, key):
+    # json.loads alone would keep the last value and load a different site
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["validate", str(bad)])
+    assert code == 1
+    assert out == "" and err == f"load error: repeated key: {key}\n"
+
+
 @pytest.mark.parametrize("path, value, named", [
     (("objects",), ["x", "y", "y"], "y"),
     (("morphisms", 0, "dom"), "w", "f1"),

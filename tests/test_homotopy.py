@@ -20,7 +20,6 @@ from hosite import (
     is_sheaf,
     make_category,
     make_presheaf,
-    pi0,
     random_site,
     sieve_presheaf,
     validate_category,
@@ -31,7 +30,7 @@ from hosite import (
 )
 from hosite.enumeration import enumerate_presheaves
 from hosite.homotopy import _shriek
-from oracles import gamma_lower_star_end, gamma_shriek_coend, isomorphic
+from oracles import gamma_lower_star_end, gamma_shriek_coend, isomorphic, pi0
 
 
 def test_pi0_examples():

@@ -16,6 +16,7 @@ from hosite import (
     generate_sieve,
     induced_topology,
     is_bracket_cover,
+    is_sheaf,
     maximal_sieve,
     random_site,
     saturate_topology,
@@ -34,6 +35,8 @@ def test_bracket_sieve_examples(site_b):
     j1 = generate_sieve(h.base, "y", ["f1"])
     assert bracket_sieve(h, j1).members == {"[f1]"}
     assert bracket_sieve(h, maximal_sieve(h.base, "y")) == maximal_sieve(h.ho, "y")
+    with pytest.raises(ValueError, match="^unknown object id: nope$"):
+        bracket_sieve(h, Sieve("nope", frozenset()))
 
 
 def test_thicken_examples(site_b, site_c):
@@ -159,9 +162,11 @@ def test_discrete_implications_hold_with_converses(site_c):
 def test_sheaf_transfer_on_fixtures(all_sites):
     for site in all_sites.values():
         induced = induced_topology(site.homotopy, site.topology)
-        result = check_sheaf_transfer(site.homotopy, site.topology, induced,
-                                      enumerate_presheaves(site.category, 2))
+        sheaves = [pre for pre in enumerate_presheaves(site.category, 2)
+                   if is_sheaf(pre, site.topology)]
+        result = check_sheaf_transfer(site.homotopy, induced, sheaves)
         assert result.verdict == "pass"
+        assert result.data["sheaves"] == len(sheaves)
 
 
 def test_theorem_violation_raised_on_tampered_test(site_b, monkeypatch):

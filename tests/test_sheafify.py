@@ -31,7 +31,7 @@ from hosite import (
     validate_presheaf,
     yoneda,
 )
-from hosite.enumeration import enumerate_presheaves, sample_presheaves
+from hosite.enumeration import enumerate_presheaves, sample_presheaves, walk_presheaves
 from oracles import (
     assert_classification_agrees,
     classify_by_families,
@@ -144,6 +144,18 @@ def test_sheaf_test_agrees_with_family_keys(all_sites, random_sites):
                 assert is_sheaf(pre, top) == expected.is_sheaf
                 checked += 1
     assert checked == 10444
+
+
+def test_walk_verdict_agrees_with_is_sheaf(all_sites, random_sites):
+    # the walk decides each half of the sheaf test at the slot that sets its
+    # last map; is_sheaf tests the built presheaf, leaf by leaf in order
+    cases = [(site, 2) for site in [*all_sites.values(), *random_sites]]
+    cases += [(all_sites[name], 3) for name in "BDE"] + [(all_sites["B"], 4)]
+    for site, bound in cases:
+        cat, top = site.category, site.topology
+        walked = [sheaf for _, _, sheaf in walk_presheaves(cat, bound, top)]
+        assert walked == [is_sheaf(pre, top) for pre in enumerate_presheaves(cat, bound)]
+    assert len(walked) == 77633 and sum(walked) == 26
 
 
 def test_plus_counts(site_b, site_d):

@@ -35,11 +35,22 @@ sheafify_mod = importlib.import_module("hosite.sheafify")
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
 def test_each_category_enumerated_once(name, count_calls):
     site = fixture_site(name)
-    calls = count_calls(enumeration, "enumerate_presheaves")
+    calls = count_calls(enumeration, "walk_presheaves")
     assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
-    cats = [cat for cat, _ in calls]
+    cats = [args[0] for args in calls]
     assert len(cats) == 2
     assert site.category in cats and site.homotopy.ho in cats
+
+
+def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
+    # fixture B at bound 4: the walk decides all 77,633 base presheaves, and
+    # is_sheaf runs only on the gamma_* images of the 26 base sheaves
+    site = fixture_site("B")
+    calls = count_calls(sheafify_mod, "is_sheaf")
+    checks = {c.name: c for c in run_site_suite(site, bound=4, seed=0)}
+    assert checks["sheaf-transfer"].data == {"sheaves": 26}
+    assert len(calls) == 26
+    assert all(pre.cat is site.homotopy.ho for pre, _ in calls)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
