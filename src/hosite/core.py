@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .util import backtrack
 
@@ -302,11 +303,11 @@ def componentwise_bijection(m: PresheafMorphism):
     return True, None
 
 
-def hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> tuple[PresheafMorphism, ...]:
-    """All natural transformations u -> f: one ``backtrack`` over the objects
-    in declaration order (components in ``product`` order), checking
-    naturality as soon as both endpoints of a morphism are assigned; agrees
-    with the plain product-filter enumeration."""
+def iter_hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> Iterator[PresheafMorphism]:
+    """The natural transformations u -> f, built one at a time: one
+    ``backtrack`` over the objects in declaration order (components in
+    ``product`` order), checking naturality as soon as both endpoints of a
+    morphism are assigned; agrees with the plain product-filter enumeration."""
     if u.cat != f.cat:
         raise ValueError("presheaves live over different categories")
     cat = u.cat
@@ -329,8 +330,13 @@ def hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> tuple[PresheafMorphism, ..
                     return False
         return True
 
-    return tuple(PresheafMorphism(u, f, {o: dict(c) for o, c in found.items()})
-                 for found in backtrack(objs, components.__getitem__, ok, comps))
+    for found in backtrack(objs, components.__getitem__, ok, comps):
+        yield PresheafMorphism(u, f, {o: dict(c) for o, c in found.items()})
+
+
+def hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> tuple[PresheafMorphism, ...]:
+    """All natural transformations u -> f, in ``iter_hom_presheaves`` order."""
+    return tuple(iter_hom_presheaves(u, f))
 
 
 def product_presheaf(f: SetPresheaf, g: SetPresheaf):

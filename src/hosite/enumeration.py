@@ -4,6 +4,8 @@ One depth-first walk sets the non-identity restriction maps slot by slot.
 Given a topology it also decides the sheaf test: each half of the test at a
 least cover reads a fixed set of maps, so it runs once, at the slot that
 sets the last of them (or once per size vector), for the whole subtree.
+Each leaf is the walk's own mappings; callers classify from them and build a
+``SetPresheaf`` only for what they keep or report.
 """
 from __future__ import annotations
 
@@ -121,10 +123,10 @@ def sample_presheaves(cat: FiniteCategory, max_card: int, k: int, rng: Random) -
 
 def sheaves_and_sample(cat: FiniteCategory, max_card: int, top: GrothendieckTopology,
                        k: int, rng: Random, sample: list[SetPresheaf]) -> Iterator[SetPresheaf]:
-    """Yield every ``top``-sheaf of the walk; once they are exhausted,
-    ``sample`` holds what ``sample_presheaves`` draws with the same rng. Only
-    sheaves and the leaves the sample takes are built."""
-    build = partial(_build, cat)
-    for leaf in reservoir(walk_presheaves(cat, max_card, top), k, rng, sample, build):
-        if leaf[2]:
-            yield build(leaf)
+    """Yield every ``top``-sheaf of the walk as a view of its mappings, valid
+    until the next item; once they are exhausted, ``sample`` holds what
+    ``sample_presheaves`` draws with the same rng, built."""
+    for value, restrict, sheaf in reservoir(walk_presheaves(cat, max_card, top), k, rng,
+                                            sample, partial(_build, cat)):
+        if sheaf:
+            yield SetPresheaf(cat, value, restrict)

@@ -6,7 +6,9 @@ hom-set, so both Kan extensions along it have closed forms (Yoneda applied
 to the epi y(Z) -> gamma^*y(Z); Gabriel–Zisman 1967): gamma_* keeps the
 sections on which parallel gamma-equal restrictions agree, and gamma_!
 identifies their images. The end and coend formulas survive only as test
-oracles.
+oracles. ``lower_star_mappings`` gives gamma_* as mappings (kept sections,
+and each class's map along its representative), which the sheaf-transfer
+check tests on the presheaf walk's tables without building the image.
 
 Enrichment is 1-truncated: hom-sets carry unoriented homotopy edges, every
 vertex is tacitly self-connected, and nothing above connected components is
@@ -177,22 +179,24 @@ def gamma_shriek_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> Presh
     return PresheafMorphism(src, tgt, comps)
 
 
+def lower_star_mappings(h: HomotopyCategoryData, value, restrict, objects):
+    """gamma_* of the presheaf with these values and restriction maps, as
+    mappings over the quotient: at each z of ``objects``, the sections on
+    which every arrow into z agrees with its class's representative; along
+    q, the restriction along rep[q], unfiltered (it keeps kept sections)."""
+    rep, into = h.rep, h.base.arrows_into
+    kept = {z: tuple(sorted(s for s in value[z] if all(
+        restrict[f][s] == restrict[rep[h.gamma[f]]][s] for f in into(z)))) for z in objects}
+    return kept, {q: restrict[r] for q, r in rep.items()}
+
+
 def gamma_lower_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
     """Right Kan extension along gamma: the sections s of F(Z) with
     F(f)(s) = F(f')(s) whenever gamma(f) = gamma(f'); restriction along [w]
     is F(w) for any representative w."""
     if pre.cat != h.base:
         raise ValueError("presheaf does not live over the base category")
-    base, ho = h.base, h.ho
-    value = {
-        z: tuple(sorted(
-            s for s in pre.value[z]
-            if all(pre.restrict[f][s] == pre.restrict[h.rep[h.gamma[f]]][s]
-                   for f in base.arrows_into(z))))
-        for z in ho.objects
-    }
-    restrict = {
-        q: {s: pre.restrict[h.rep[q]][s] for s in value[ho.cod[q]]}
-        for q in ho.morphisms
-    }
+    ho = h.ho
+    value, along = lower_star_mappings(h, pre.value, pre.restrict, ho.objects)
+    restrict = {q: {s: along[q][s] for s in value[ho.cod[q]]} for q in ho.morphisms}
     return SetPresheaf(ho, value, restrict)

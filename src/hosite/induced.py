@@ -7,18 +7,30 @@ when the gamma-pullback of its inclusion is locally surjective and locally
 injective at the least covers of the base topology, which is exactly when
 it becomes an isomorphism after sheafification. The agreement of the two
 characterizations is a theorem, so any disagreement fails loudly with a
-replayable counterexample.
+replayable counterexample. The sheaf-side checks walk the presheaves once
+per category and decide both sides from the walk's mappings: gamma^*P has
+P's values and P's map along [f] at f, and gamma_*P is read through
+``lower_star_mappings``. Presheaves are built only for sampled items and
+reported counterexamples.
 """
 from __future__ import annotations
 
+from functools import partial
+from itertools import islice
 from random import Random
 from typing import Iterable
 
-from .core import SetPresheaf, hom_presheaves
-from .enumeration import enumerate_presheaves, reservoir
-from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star, gamma_star_morphism
+from .core import SetPresheaf, iter_hom_presheaves
+from .enumeration import _build, reservoir, walk_presheaves
+from .homotopy import (
+    HomotopyCategoryData,
+    gamma_lower_star,
+    gamma_star,
+    gamma_star_morphism,
+    lower_star_mappings,
+)
 from .report import CheckResult
-from .sheafify import classify_presheaf, is_sheaf, is_tau_iso, matching_families
+from .sheafify import classify_mappings, is_tau_iso, matching_families
 from .sieves import (
     GrothendieckTopology,
     Sieve,
@@ -136,10 +148,12 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     witness: dict | None = None
     sample: list[SetPresheaf] = []
     b_fail: CheckResult | None = None
-    for pre in reservoir(enumerate_presheaves(ho, bound), 10, rng, sample):
-        cls_ho = classify_presheaf(pre, induced)
-        pulled = gamma_star(h, pre)
-        cls_base = classify_presheaf(pulled, top)
+    build = partial(_build, ho)
+    classes = tuple(h.gamma.items())
+    for leaf in reservoir(walk_presheaves(ho, bound), 10, rng, sample, build):
+        value, restrict, _ = leaf
+        cls_ho = classify_mappings(value, restrict, induced)
+        cls_base = classify_mappings(value, {f: restrict[q] for f, q in classes}, top)
         implication_cases += 1
         bad = None
         if cls_base.is_sheaf and not cls_ho.is_sheaf:
@@ -151,9 +165,11 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
         if bad and b_fail is None:
             b_fail = CheckResult(
                 "sheaf-implications", "fail", bad,
-                counterexample={"presheaf": _presheaf_payload(pre),
+                counterexample={"presheaf": _presheaf_payload(build(leaf)),
                                 "original": cls_ho.kind, "pullback": cls_base.kind})
         if witness is None and cls_ho.is_sheaf and not cls_base.is_sheaf:
+            pre = build(leaf)
+            pulled = gamma_star(h, pre)
             wx, wsieve = cls_base.witness
             witness = {
                 "presheaf": _presheaf_payload(pre),
@@ -173,7 +189,7 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     for _ in range(min(6, len(sample) ** 2)):
         src = rng.choice(sample)
         tgt = rng.choice(sample)
-        morphisms.extend(hom_presheaves(src, tgt)[:12])
+        morphisms.extend(islice(iter_hom_presheaves(src, tgt), 12))
     for m in morphisms:
         left = bool(is_tau_iso(m, induced))
         right = bool(is_tau_iso(gamma_star_morphism(h, m), top))
@@ -246,17 +262,20 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
 def check_sheaf_transfer(h: HomotopyCategoryData, induced: GrothendieckTopology,
                          sheaves: Iterable[SetPresheaf]) -> CheckResult:
     """The right Kan extension must send every base sheaf to an induced
-    sheaf. Reads them all and reports the first failure."""
+    sheaf. Reads each while it is current and reports the first failure.
+    Images are tested only at the objects the induced least covers read: if
+    all are maximal, every image is a sheaf and the sheaves are counted."""
+    read = {o for x, plan in induced._sheaf_plans for o in (x, *plan.doms)}
     count = 0
     fail: CheckResult | None = None
     for pre in sheaves:
         count += 1
-        pushed = gamma_lower_star(h, pre)
-        if fail is None and not is_sheaf(pushed, induced):
+        if fail is None and read and not classify_mappings(
+                *lower_star_mappings(h, pre.value, pre.restrict, read), induced).is_sheaf:
             fail = CheckResult(
                 "sheaf-transfer", "fail",
                 "right Kan extension of a sheaf is not a sheaf",
                 counterexample={"presheaf": _presheaf_payload(pre),
-                                "image": _presheaf_payload(pushed)})
+                                "image": _presheaf_payload(gamma_lower_star(h, pre))})
     return fail or CheckResult("sheaf-transfer", "pass",
                                f"{count} sheaves transferred", data={"sheaves": count})

@@ -5,8 +5,11 @@ per topology in a cover plan (``SievePlan``). At the least cover J of x,
 restriction of P(x) to families over J is tested for injectivity on tuples of
 sections; every canonical family matches, so an injective map is onto iff
 there are no more matching families than |P(x)| (the count stops past it).
-``sheaf_tests`` gives both halves with the maps they read, so the presheaf
-walk decides each where its last map is set; ``is_sheaf`` shares them.
+``classify_mappings`` reads only a presheaf's value and restriction mappings,
+so the comparison checks run it on the presheaf walk's own tables, or on
+views of them, without building a presheaf; ``classify_presheaf`` and
+``is_sheaf`` wrap it. ``sheaf_tests`` gives its two halves with the maps they
+read, so the walk decides each where its last map is set.
 The plus-construction is the filtered colimit, over covering sieves ordered
 by reverse inclusion, of matching families; that poset has the least cover as
 its maximum, so the colimit is computed there: classes are named by their
@@ -89,15 +92,6 @@ class Classification:
         return self.kind != "not-separated"
 
 
-def _sheaf_plans(top: GrothendieckTopology):
-    """(x, plan) for each object whose least cover is not maximal, in
-    declaration order: the canonical map to families over a maximal sieve is
-    always a bijection, so only these covers can fail."""
-    for x, plan in top._cover_plan.items():
-        if len(plan.members) != len(top.base.arrows_into(x)):
-            yield x, plan
-
-
 def _injective(restrict, plan: SievePlan, sections) -> bool:
     """Whether the sections restrict to distinct tuples over the plan's
     members; reads only the members' maps."""
@@ -111,50 +105,42 @@ def _exact_family_count(value, restrict, plan: SievePlan, n: int) -> bool:
     return sum(1 for _ in islice(_families(value, restrict, plan), n + 1)) == n
 
 
-def _sheaf_condition(pre: SetPresheaf, top: GrothendieckTopology):
-    """Per object with its minimal covering sieve, skipping maximal ones:
-    (x, sieve, injective, bijective) for the canonical map from sections of
-    x to matching families over the sieve.
-
-    Injectivity at the minimal sieve implies injectivity at every larger
-    cover, and bijectivity at the minimal sieves plus separatedness gives the
-    full sheaf condition, so the minimal sieves decide the classification
-    for every cover at once.
-    """
-    value, restrict = pre.value, pre.restrict
-    for x, plan in _sheaf_plans(top):
-        sections = value[x]
-        injective = _injective(restrict, plan, sections)
-        yield x, plan.sieve, injective, injective and _exact_family_count(
-            value, restrict, plan, len(sections))
-
-
 def sheaf_tests(top: GrothendieckTopology, value):
     """The sheaf test for presheaves with these values, as (reads, test)
     pairs: ``test(restrict)`` decides one half of the test at one least cover
     and reads only the maps in ``reads``. A sheaf passes all of them: a count
     other than |P(x)| already rules out a bijection."""
-    for x, plan in _sheaf_plans(top):
+    for x, plan in top._sheaf_plans:
         yield plan.members, partial(_injective, plan=plan, sections=value[x])
         reads = {g for checks in plan.triggers for g, _, _ in checks}
         yield reads, partial(_exact_family_count, value, plan=plan, n=len(value[x]))
 
 
-def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
-    """Sheaf / separated-not-sheaf / not-separated, with a witnessing cover."""
+def classify_mappings(value, restrict, top: GrothendieckTopology) -> Classification:
+    """Sheaf / separated-not-sheaf / not-separated for the presheaf with
+    these mappings, decided at the non-maximal least covers: injectivity
+    there gives it at every larger cover, and bijectivity there plus
+    separatedness gives the full sheaf condition. The witness is the first
+    non-bijective cover; not-separated wins, keeping an earlier one."""
     first_nonbij: tuple[str, Sieve] | None = None
-    for x, smin, injective, bijective in _sheaf_condition(pre, top):
-        if not injective:
-            return Classification("not-separated", first_nonbij or (x, smin))
-        if not bijective and first_nonbij is None:
-            first_nonbij = (x, smin)
+    for x, plan in top._sheaf_plans:
+        sections = value[x]
+        if not _injective(restrict, plan, sections):
+            return Classification("not-separated", first_nonbij or (x, plan.sieve))
+        if first_nonbij is None and not _exact_family_count(value, restrict, plan, len(sections)):
+            first_nonbij = (x, plan.sieve)
     if first_nonbij is not None:
         return Classification("separated-not-sheaf", first_nonbij)
     return Classification("sheaf")
 
 
+def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
+    """Sheaf / separated-not-sheaf / not-separated, with a witnessing cover."""
+    return classify_mappings(pre.value, pre.restrict, top)
+
+
 def is_sheaf(pre: SetPresheaf, top: GrothendieckTopology) -> bool:
-    return all(bijective for _, _, _, bijective in _sheaf_condition(pre, top))
+    return classify_mappings(pre.value, pre.restrict, top).is_sheaf
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,14 @@ class GrothendieckTopology:
     def _cover_plan(self) -> dict[str, SievePlan]:
         return {x: sieve_plan(self.base, minimal_cover(self, x)) for x in self.base.objects}
 
+    @cached_property
+    def _sheaf_plans(self) -> tuple[tuple[str, SievePlan], ...]:
+        """(x, plan) for each object whose least cover is not maximal, in
+        declaration order: the canonical map to families over a maximal
+        sieve is always a bijection, so only these covers can fail."""
+        return tuple((x, plan) for x, plan in self._cover_plan.items()
+                     if len(plan.members) != len(self.base.arrows_into(x)))
+
 
 def trivial_topology(cat: FiniteCategory) -> GrothendieckTopology:
     return GrothendieckTopology(cat, {o: frozenset([maximal_sieve(cat, o)]) for o in cat.objects})

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from itertools import pairwise, repeat
+from itertools import islice, pairwise, repeat
 from random import Random
 
 from .core import (
@@ -10,7 +10,7 @@ from .core import (
     SetPresheaf,
     componentwise_bijection,
     equalizer_presheaf,
-    hom_presheaves,
+    iter_hom_presheaves,
     product_presheaf,
 )
 from .enumeration import sheaves_and_sample
@@ -75,9 +75,9 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
         ok, witness = componentwise_bijection(PresheafMorphism(sprod.sheaf, spair, comps))
         if not ok:
             return fail(f"product comparison fails at {witness}", f, g)
-        parallel = hom_presheaves(f, g)
-        if len(parallel) >= 2:
-            u, v = parallel[0], parallel[1]
+        parallel = list(islice(iter_hom_presheaves(f, g), 2))
+        if len(parallel) == 2:
+            u, v = parallel
             eq, incl = equalizer_presheaf(u, v)
             seq = sheafify(eq, top)
             sincl = transport_morphism(incl, seq, sf)

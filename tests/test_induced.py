@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,9 @@ from hosite import (
     check_comparison_lemmas,
     check_cover_reflecting,
     check_sheaf_transfer,
+    classify_presheaf,
+    gamma_lower_star,
+    gamma_star,
     generate_sieve,
     induced_topology,
     is_bracket_cover,
@@ -24,7 +28,7 @@ from hosite import (
     validate_topology,
 )
 import hosite.induced as induced_mod
-from hosite.enumeration import enumerate_presheaves
+from hosite.enumeration import enumerate_presheaves, sheaves_and_sample
 from hosite.induced import TheoremViolation
 
 
@@ -167,6 +171,70 @@ def test_sheaf_transfer_on_fixtures(all_sites):
         result = check_sheaf_transfer(site.homotopy, induced, sheaves)
         assert result.verdict == "pass"
         assert result.data["sheaves"] == len(sheaves)
+
+
+def _recorded_classifications(monkeypatch) -> list:
+    """(category, classification) of every call the induced checks make to
+    the mapping-level classifier, in order."""
+    seen: list = []
+    original = induced_mod.classify_mappings
+
+    def record(value, restrict, top):
+        cls = original(value, restrict, top)
+        seen.append((top.base, cls))
+        return cls
+    monkeypatch.setattr(induced_mod, "classify_mappings", record)
+    return seen
+
+
+def _walk_cases(all_sites, random_sites):
+    cases = [(site, 2) for site in [*all_sites.values(), *random_sites]]
+    return cases + [(all_sites[name], 3) for name in "BCDE"]
+
+
+def test_walk_quotient_classification_agrees_with_classify_presheaf(
+        all_sites, random_sites, monkeypatch):
+    # lemma groups (b)/(c) classify each quotient leaf and its gamma^*
+    # pullback from the walk's mappings; classify_presheaf on the built
+    # presheaf and on gamma_star of it must agree, kind and witness, leaf by
+    # leaf in order
+    seen = _recorded_classifications(monkeypatch)
+    leaves = 0
+    for site, bound in _walk_cases(all_sites, random_sites):
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top)
+        seen.clear()
+        check_comparison_lemmas(h, top, induced, bound=bound)
+        expected = []
+        for pre in enumerate_presheaves(h.ho, bound):
+            expected.append((h.ho, classify_presheaf(pre, induced)))
+            expected.append((h.base, classify_presheaf(gamma_star(h, pre), top)))
+        assert seen == expected
+        leaves += len(expected) // 2
+    assert leaves == 6243
+
+
+def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, monkeypatch):
+    # the transfer check tests gamma_* of each base sheaf from the walk's
+    # mappings, and only where an induced least cover is not maximal;
+    # is_sheaf on the built image must agree on every base sheaf, in order
+    seen = _recorded_classifications(monkeypatch)
+    tested = 0
+    for site, bound in _walk_cases(all_sites, random_sites):
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top)
+        seen.clear()
+        sheaves = sheaves_and_sample(h.base, bound, top, 0, Random(0), [])
+        result = check_sheaf_transfer(h, induced, sheaves)
+        expected = [is_sheaf(gamma_lower_star(h, pre), induced)
+                    for pre in enumerate_presheaves(h.base, bound) if is_sheaf(pre, top)]
+        assert result.data["sheaves"] == len(expected)
+        if induced._sheaf_plans:
+            assert [(cat, cls.is_sheaf) for cat, cls in seen] == [(h.ho, ok) for ok in expected]
+            tested += len(seen)
+        else:
+            assert seen == [] and all(expected)
+    assert tested == 286
 
 
 def test_theorem_violation_raised_on_tampered_test(site_b, monkeypatch):

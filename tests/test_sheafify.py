@@ -158,6 +158,23 @@ def test_walk_verdict_agrees_with_is_sheaf(all_sites, random_sites):
     assert len(walked) == 77633 and sum(walked) == 26
 
 
+def test_sheaf_plans_are_laid_out_once_per_topology(site_b, monkeypatch):
+    # the non-maximal least-cover plans are cached next to the cover plan:
+    # once they exist, classifying makes no arrows_into call
+    from hosite import FiniteCategory, GrothendieckTopology
+    cat = site_b.category
+    top = GrothendieckTopology(cat, dict(site_b.topology.covers))
+    calls = []
+    arrows_into = FiniteCategory.arrows_into
+    monkeypatch.setattr(FiniteCategory, "arrows_into",
+                        lambda self, x: calls.append(x) or arrows_into(self, x))
+    classify_presheaf(site_b.presheaves["K2"], top)
+    assert calls
+    calls.clear()
+    classify_presheaf(constant_presheaf(cat, ["0", "1", "2"]), top)
+    assert calls == []
+
+
 def test_plus_counts(site_b, site_d):
     k2 = site_b.presheaves["K2"]
     plus = plus_construction(k2, site_b.topology)

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import hosite.enumeration as enumeration
+import hosite.homotopy as homotopy
 import hosite.induced as induced
 import hosite.suite as suite
 from hosite import (
@@ -44,13 +45,18 @@ def test_each_category_enumerated_once(name, count_calls):
 
 def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
     # fixture B at bound 4: the walk decides all 77,633 base presheaves, and
-    # is_sheaf runs only on the gamma_* images of the 26 base sheaves
+    # the gamma_* mappings of the 26 base sheaves are tested at the objects
+    # the induced least cover on y reads; no image is built or passed to
+    # is_sheaf
     site = fixture_site("B")
     calls = count_calls(sheafify_mod, "is_sheaf")
+    pushed = count_calls(homotopy, "gamma_lower_star")
+    mapped = count_calls(homotopy, "lower_star_mappings")
     checks = {c.name: c for c in run_site_suite(site, bound=4, seed=0)}
     assert checks["sheaf-transfer"].data == {"sheaves": 26}
-    assert len(calls) == 26
-    assert all(pre.cat is site.homotopy.ho for pre, _ in calls)
+    assert len(calls) == 0 and len(pushed) == 0
+    assert len(mapped) == 26
+    assert all(set(objects) == {"x", "y"} for _, _, _, objects in mapped)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
@@ -90,15 +96,17 @@ def _on_quotient(morphisms) -> bool:
 
 
 def _fixed_classification(on_quotient: str, on_base: str):
-    """classify_presheaf replaced by fixed kinds; a base witness names the
-    maximal sieve on the first object, so the converse search can read it."""
+    """classify_presheaf(pre, top), or classify_mappings(value, restrict,
+    top), replaced by fixed kinds; a base witness names the maximal sieve on
+    the first object, so the converse search can read it."""
     from hosite import Classification, maximal_sieve
 
-    def classify(pre, top):
-        if _on_quotient(pre.cat.morphisms):
+    def classify(*args):
+        cat = args[-1].base
+        if _on_quotient(cat.morphisms):
             return Classification(on_quotient)
-        x = pre.cat.objects[0]
-        return Classification(on_base, (x, maximal_sieve(pre.cat, x)))
+        x = cat.objects[0]
+        return Classification(on_base, (x, maximal_sieve(cat, x)))
     return classify
 
 
@@ -146,18 +154,18 @@ _FAILURES = [
      lambda: _induced_by(all_sieves), "preimage of"),
     ("iso-comparison", suite, "induced_topology",
      lambda: _induced_by(lambda ho, x: [maximal_sieve(ho, x)]), "induced-iso"),
-    ("sheaf-implications", induced, "classify_presheaf",
+    ("sheaf-implications", induced, "classify_mappings",
      lambda: _fixed_classification("separated-not-sheaf", "sheaf"), "base sheaf with"),
-    ("sheaf-implications", induced, "classify_presheaf",
+    ("sheaf-implications", induced, "classify_mappings",
      lambda: _fixed_classification("not-separated", "separated-not-sheaf"), "base separated"),
-    ("sheaf-implications", induced, "classify_presheaf",
+    ("sheaf-implications", induced, "classify_mappings",
      lambda: _fixed_classification("sheaf", "not-separated"), "separated original"),
     ("thickening", induced, "thicken_sieve", lambda: _thicken_to_empty_and_back,
      "thickening lost members; thickening is not idempotent; thickening changed"),
     ("thickening", induced, "thicken_sieve",
      lambda: lambda h, j: j, "distinct thickened sieves"),
-    ("sheaf-transfer", induced, "is_sheaf",
-     lambda: lambda pre, top: not _on_quotient(pre.cat.morphisms), "right Kan extension"),
+    ("sheaf-transfer", induced, "classify_mappings",
+     lambda: _fixed_classification("separated-not-sheaf", "sheaf"), "right Kan extension"),
     ("sheafification-engine", suite, "classify_presheaf",
      lambda: _fixed_classification("not-separated", "not-separated"), "sheafified presheaf"),
     ("sheafification-engine", suite, "is_tau_iso",
