@@ -38,7 +38,10 @@ def _resolve_seed(args) -> None:
 
 
 def _read_site(path: str) -> SiteDocument:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SiteLoadError(f"load error: {path} is not UTF-8 text: {exc}") from None
     return parse_site(text)
 
 

@@ -6,9 +6,10 @@ hom-set, so both Kan extensions along it have closed forms (Yoneda applied
 to the epi y(Z) -> gamma^*y(Z); Gabriel–Zisman 1967): gamma_* keeps the
 sections on which parallel gamma-equal restrictions agree, and gamma_!
 identifies their images. The end and coend formulas survive only as test
-oracles. ``lower_star_mappings`` gives gamma_* as mappings (kept sections,
-and each class's map along its representative), which the sheaf-transfer
-check tests on the presheaf walk's tables without building the image.
+oracles. No presheaf table is edited once built, so ``gamma_star`` shares
+P's tables, and ``lower_star_mappings`` gives gamma_* as a partial view over
+them, which the sheaf-transfer check classifies on the presheaf walk's views
+without building the image.
 
 Enrichment is 1-truncated: hom-sets carry unoriented homotopy edges, every
 vertex is tacitly self-connected, and nothing above connected components is
@@ -128,11 +129,11 @@ def homotopy_category(enr: EnrichedCategory) -> HomotopyCategoryData:
 
 
 def gamma_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
-    """Precomposition: pull a presheaf on the quotient back to the base."""
-    if pre.cat != h.ho:
+    """Precomposition: pull a presheaf on the quotient back to the base. The
+    result shares P's value and restriction tables."""
+    if pre.cat is not h.ho and pre.cat != h.ho:
         raise ValueError("presheaf does not live over the homotopy category")
-    restrict = {m: dict(pre.restrict[h.gamma[m]]) for m in h.base.morphisms}
-    return SetPresheaf(h.base, {o: pre.value[o] for o in h.base.objects}, restrict)
+    return SetPresheaf(h.base, pre.value, {m: pre.restrict[q] for m, q in h.gamma.items()})
 
 
 def gamma_star_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> PresheafMorphism:
@@ -179,15 +180,15 @@ def gamma_shriek_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> Presh
     return PresheafMorphism(src, tgt, comps)
 
 
-def lower_star_mappings(h: HomotopyCategoryData, value, restrict, objects):
-    """gamma_* of the presheaf with these values and restriction maps, as
-    mappings over the quotient: at each z of ``objects``, the sections on
-    which every arrow into z agrees with its class's representative; along
-    q, the restriction along rep[q], unfiltered (it keeps kept sections)."""
-    rep, into = h.rep, h.base.arrows_into
+def lower_star_mappings(h: HomotopyCategoryData, pre: SetPresheaf, objects) -> SetPresheaf:
+    """gamma_* of pre as a partial view over the quotient: at each z of
+    ``objects``, the sections on which every arrow into z agrees with its
+    class's representative; along q, pre's table along rep[q], unfiltered
+    (it keeps kept sections)."""
+    value, restrict, rep, into = pre.value, pre.restrict, h.rep, h.base.arrows_into
     kept = {z: tuple(sorted(s for s in value[z] if all(
         restrict[f][s] == restrict[rep[h.gamma[f]]][s] for f in into(z)))) for z in objects}
-    return kept, {q: restrict[r] for q, r in rep.items()}
+    return SetPresheaf(h.ho, kept, {q: restrict[r] for q, r in rep.items()})
 
 
 def gamma_lower_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
@@ -197,6 +198,6 @@ def gamma_lower_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
     if pre.cat != h.base:
         raise ValueError("presheaf does not live over the base category")
     ho = h.ho
-    value, along = lower_star_mappings(h, pre.value, pre.restrict, ho.objects)
-    restrict = {q: {s: along[q][s] for s in value[ho.cod[q]]} for q in ho.morphisms}
-    return SetPresheaf(ho, value, restrict)
+    view = lower_star_mappings(h, pre, ho.objects)
+    restrict = {q: {s: view.restrict[q][s] for s in view.value[ho.cod[q]]} for q in ho.morphisms}
+    return SetPresheaf(ho, view.value, restrict)

@@ -8,20 +8,19 @@ injective at the least covers of the base topology, which is exactly when
 it becomes an isomorphism after sheafification. The agreement of the two
 characterizations is a theorem, so any disagreement fails loudly with a
 replayable counterexample. The sheaf-side checks walk the presheaves once
-per category and decide both sides from the walk's mappings: gamma^*P has
-P's values and P's map along [f] at f, and gamma_*P is read through
-``lower_star_mappings``. Presheaves are built only for sampled items and
-reported counterexamples.
+per category and classify the walk's own views with ``classify_presheaf``:
+P and ``gamma_star`` of P for the lemma groups, and the partial view
+``lower_star_mappings`` of gamma_*P for the transfer. Presheaves are copied
+only for the sample; counterexamples are read off the live view.
 """
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from random import Random
 from typing import Iterable
 
 from .core import SetPresheaf, iter_hom_presheaves
-from .enumeration import _build, reservoir, walk_presheaves
+from .enumeration import reservoir, walk_presheaves
 from .homotopy import (
     HomotopyCategoryData,
     gamma_lower_star,
@@ -30,7 +29,7 @@ from .homotopy import (
     lower_star_mappings,
 )
 from .report import CheckResult
-from .sheafify import classify_mappings, is_tau_iso, matching_families
+from .sheafify import classify_presheaf, is_tau_iso, matching_families
 from .sieves import (
     GrothendieckTopology,
     Sieve,
@@ -55,12 +54,16 @@ def bracket_sieve(h: HomotopyCategoryData, j: Sieve) -> Sieve:
     return generate_sieve(h.ho, j.root, sorted({h.gamma[f] for f in j.members}))
 
 
+def _preimage(h: HomotopyCategoryData, u: Sieve) -> Sieve:
+    """The base sieve of the arrows into u's root whose gamma-image is in u."""
+    return Sieve(u.root, frozenset(
+        f for f in h.base.arrows_into(u.root) if h.gamma[f] in u.members))
+
+
 def thicken_sieve(h: HomotopyCategoryData, j: Sieve) -> Sieve:
     """All morphisms whose image lands in the bracket sieve: everything
     homotopic to a member. Contains j and has the same bracket."""
-    bracket = bracket_sieve(h, j)
-    return Sieve(j.root, frozenset(
-        f for f in h.base.arrows_into(j.root) if h.gamma[f] in bracket.members))
+    return _preimage(h, bracket_sieve(h, j))
 
 
 def is_bracket_cover(h: HomotopyCategoryData, top: GrothendieckTopology, u: Sieve) -> bool:
@@ -107,8 +110,7 @@ def check_cover_reflecting(h: HomotopyCategoryData, top: GrothendieckTopology,
     for x in h.ho.objects:
         for u in induced.covers_of(x):
             checked += 1
-            pre = Sieve(x, frozenset(
-                f for f in h.base.arrows_into(x) if h.gamma[f] in u.members))
+            pre = _preimage(h, u)
             if pre not in top.covers.get(x, frozenset()):
                 return CheckResult(
                     "cover-reflecting", "fail",
@@ -148,12 +150,10 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     witness: dict | None = None
     sample: list[SetPresheaf] = []
     b_fail: CheckResult | None = None
-    build = partial(_build, ho)
-    classes = tuple(h.gamma.items())
-    for leaf in reservoir(walk_presheaves(ho, bound), 10, rng, sample, build):
-        value, restrict, _ = leaf
-        cls_ho = classify_mappings(value, restrict, induced)
-        cls_base = classify_mappings(value, {f: restrict[q] for f, q in classes}, top)
+    for pre, _ in reservoir(walk_presheaves(ho, bound), 10, rng, sample):
+        pulled = gamma_star(h, pre)
+        cls_ho = classify_presheaf(pre, induced)
+        cls_base = classify_presheaf(pulled, top)
         implication_cases += 1
         bad = None
         if cls_base.is_sheaf and not cls_ho.is_sheaf:
@@ -165,11 +165,9 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
         if bad and b_fail is None:
             b_fail = CheckResult(
                 "sheaf-implications", "fail", bad,
-                counterexample={"presheaf": _presheaf_payload(build(leaf)),
+                counterexample={"presheaf": _presheaf_payload(pre),
                                 "original": cls_ho.kind, "pullback": cls_base.kind})
         if witness is None and cls_ho.is_sheaf and not cls_base.is_sheaf:
-            pre = build(leaf)
-            pulled = gamma_star(h, pre)
             wx, wsieve = cls_base.witness
             witness = {
                 "presheaf": _presheaf_payload(pre),
@@ -180,20 +178,14 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
             }
 
     # (a): sampled morphisms plus every sieve inclusion
-    iso_cases = 0
     a_fail: CheckResult | None = None
-    morphisms = []
-    for x in ho.objects:
-        for u in all_sieves(ho, x):
-            morphisms.append(sieve_inclusion(ho, u))
+    morphisms = [sieve_inclusion(ho, u) for x in ho.objects for u in all_sieves(ho, x)]
     for _ in range(min(6, len(sample) ** 2)):
-        src = rng.choice(sample)
-        tgt = rng.choice(sample)
+        src, tgt = rng.choice(sample), rng.choice(sample)
         morphisms.extend(islice(iter_hom_presheaves(src, tgt), 12))
     for m in morphisms:
         left = bool(is_tau_iso(m, induced))
         right = bool(is_tau_iso(gamma_star_morphism(h, m), top))
-        iso_cases += 1
         if left != right and a_fail is None:
             a_fail = CheckResult(
                 "iso-comparison", "fail",
@@ -202,7 +194,8 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
                                 "target": _presheaf_payload(m.target),
                                 "components": {o: dict(c) for o, c in m.components.items()}})
     results.append(a_fail or CheckResult(
-        "iso-comparison", "pass", f"{iso_cases} morphisms agree", data={"cases": iso_cases}))
+        "iso-comparison", "pass", f"{len(morphisms)} morphisms agree",
+        data={"cases": len(morphisms)}))
     results.append(b_fail or CheckResult(
         "sheaf-implications", "pass",
         f"{implication_cases} presheaves, all implications hold",
@@ -270,8 +263,8 @@ def check_sheaf_transfer(h: HomotopyCategoryData, induced: GrothendieckTopology,
     fail: CheckResult | None = None
     for pre in sheaves:
         count += 1
-        if fail is None and read and not classify_mappings(
-                *lower_star_mappings(h, pre.value, pre.restrict, read), induced).is_sheaf:
+        if fail is None and read and not classify_presheaf(
+                lower_star_mappings(h, pre, read), induced).is_sheaf:
             fail = CheckResult(
                 "sheaf-transfer", "fail",
                 "right Kan extension of a sheaf is not a sheaf",

@@ -5,11 +5,10 @@ per topology in a cover plan (``SievePlan``). At the least cover J of x,
 restriction of P(x) to families over J is tested for injectivity on tuples of
 sections; every canonical family matches, so an injective map is onto iff
 there are no more matching families than |P(x)| (the count stops past it).
-``classify_mappings`` reads only a presheaf's value and restriction mappings,
-so the comparison checks run it on the presheaf walk's own tables, or on
-views of them, without building a presheaf; ``classify_presheaf`` and
-``is_sheaf`` wrap it. ``sheaf_tests`` gives its two halves with the maps they
-read, so the walk decides each where its last map is set.
+``classify_presheaf`` reads only a presheaf's value and restriction tables,
+so the comparison checks run it on views over the presheaf walk's own
+tables; ``is_sheaf`` wraps it. ``sheaf_tests`` gives its two halves with the
+maps they read, so the walk decides each where its last map is set.
 The plus-construction is the filtered colimit, over covering sieves ordered
 by reverse inclusion, of matching families; that poset has the least cover as
 its maximum, so the colimit is computed there: classes are named by their
@@ -39,13 +38,13 @@ class MatchingFamily:
     assignment: tuple[tuple[str, str], ...]
 
 
-def _families(value, restrict, plan: SievePlan):
+def _families(pre: SetPresheaf, plan: SievePlan):
     """The matching families over the planned sieve, each once, in the
     backtracking order of ``plan.members``; each is yielded as the same dict
     from member to section, so a caller that keeps one copies it. Of
-    ``restrict`` it reads only the maps g of the plan's triggers."""
-    doms = plan.doms
-    checks = [[(restrict[g], f, fg) for g, f, fg in t] for t in plan.triggers]
+    ``pre.restrict`` it reads only the maps g of the plan's triggers."""
+    value, doms = pre.value, plan.doms
+    checks = [[(pre.restrict[g], f, fg) for g, f, fg in t] for t in plan.triggers]
     cur: dict[str, str] = {}
 
     def ok(i: int) -> bool:
@@ -58,7 +57,7 @@ def _families(value, restrict, plan: SievePlan):
 
 
 def _family_dicts(pre: SetPresheaf, plan: SievePlan) -> list[dict[str, str]]:
-    return [dict(fam) for fam in _families(pre.value, pre.restrict, plan)]
+    return [dict(fam) for fam in _families(pre, plan)]
 
 
 def family_key(fam: dict[str, str]) -> str:
@@ -92,55 +91,51 @@ class Classification:
         return self.kind != "not-separated"
 
 
-def _injective(restrict, plan: SievePlan, sections) -> bool:
-    """Whether the sections restrict to distinct tuples over the plan's
-    members; reads only the members' maps."""
-    tables = [restrict[f] for f in plan.members]
+def _injective(pre: SetPresheaf, plan: SievePlan, x: str) -> bool:
+    """Whether the sections of P(x) restrict to distinct tuples over the
+    plan's members; reads only the members' maps."""
+    tables = [pre.restrict[f] for f in plan.members]
+    sections = pre.value[x]
     return len({tuple([t[s] for t in tables]) for s in sections}) == len(sections)
 
 
-def _exact_family_count(value, restrict, plan: SievePlan, n: int) -> bool:
-    """Whether there are exactly n matching families over the plan; the
-    count stops past n."""
-    return sum(1 for _ in islice(_families(value, restrict, plan), n + 1)) == n
+def _exact_family_count(pre: SetPresheaf, plan: SievePlan, x: str) -> bool:
+    """Whether there are exactly |P(x)| matching families over the plan; the
+    count stops past it."""
+    n = len(pre.value[x])
+    return sum(1 for _ in islice(_families(pre, plan), n + 1)) == n
 
 
-def sheaf_tests(top: GrothendieckTopology, value):
-    """The sheaf test for presheaves with these values, as (reads, test)
-    pairs: ``test(restrict)`` decides one half of the test at one least cover
-    and reads only the maps in ``reads``. A sheaf passes all of them: a count
-    other than |P(x)| already rules out a bijection."""
+def sheaf_tests(top: GrothendieckTopology):
+    """The sheaf test, as (reads, test) pairs: ``test(pre)`` decides one half
+    of the test at one least cover and reads only the maps in ``reads``. A
+    sheaf passes all of them: a count other than |P(x)| already rules out a
+    bijection."""
     for x, plan in top._sheaf_plans:
-        yield plan.members, partial(_injective, plan=plan, sections=value[x])
+        yield plan.members, partial(_injective, plan=plan, x=x)
         reads = {g for checks in plan.triggers for g, _, _ in checks}
-        yield reads, partial(_exact_family_count, value, plan=plan, n=len(value[x]))
+        yield reads, partial(_exact_family_count, plan=plan, x=x)
 
 
-def classify_mappings(value, restrict, top: GrothendieckTopology) -> Classification:
-    """Sheaf / separated-not-sheaf / not-separated for the presheaf with
-    these mappings, decided at the non-maximal least covers: injectivity
-    there gives it at every larger cover, and bijectivity there plus
-    separatedness gives the full sheaf condition. The witness is the first
-    non-bijective cover; not-separated wins, keeping an earlier one."""
+def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
+    """Sheaf / separated-not-sheaf / not-separated, decided at the
+    non-maximal least covers: injectivity there gives it at every larger
+    cover, and bijectivity there plus separatedness gives the full sheaf
+    condition. The witness is the first non-bijective cover; not-separated
+    wins, keeping an earlier one."""
     first_nonbij: tuple[str, Sieve] | None = None
     for x, plan in top._sheaf_plans:
-        sections = value[x]
-        if not _injective(restrict, plan, sections):
+        if not _injective(pre, plan, x):
             return Classification("not-separated", first_nonbij or (x, plan.sieve))
-        if first_nonbij is None and not _exact_family_count(value, restrict, plan, len(sections)):
+        if first_nonbij is None and not _exact_family_count(pre, plan, x):
             first_nonbij = (x, plan.sieve)
     if first_nonbij is not None:
         return Classification("separated-not-sheaf", first_nonbij)
     return Classification("sheaf")
 
 
-def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
-    """Sheaf / separated-not-sheaf / not-separated, with a witnessing cover."""
-    return classify_mappings(pre.value, pre.restrict, top)
-
-
 def is_sheaf(pre: SetPresheaf, top: GrothendieckTopology) -> bool:
-    return classify_mappings(pre.value, pre.restrict, top).is_sheaf
+    return classify_presheaf(pre, top).is_sheaf
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,10 @@ def load_site(doc: dict) -> SiteDocument:
     for key, shape in _SHAPES.items():
         if key in doc and not _fits(doc[key], shape):
             raise _err(f"malformed {key}: expected the lists and objects of strings of the site format")
+    for name, entry in doc.get("presheaves", {}).items():
+        extra = sorted(set(entry) - set(_SHAPES["presheaves"][str]))
+        if extra:
+            raise _err(f"presheaf {name}: unknown key: {extra[0]}")
     raw = normalize_raw(doc)
 
     arrows = []
@@ -173,4 +177,6 @@ def parse_site(text: str) -> SiteDocument:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise _err(f"syntax error: {exc}") from None
+    except RecursionError:
+        raise _err("syntax error: the document nests too deeply") from None
     return load_site(doc)

@@ -13,7 +13,7 @@ from .core import (
     iter_hom_presheaves,
     product_presheaf,
 )
-from .enumeration import sheaves_and_sample
+from .enumeration import reservoir, walk_presheaves
 from .induced import (
     TheoremViolation,
     _presheaf_payload,
@@ -111,9 +111,9 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
     out.append(check_cover_reflecting(h, top, induced))
     out.extend(check_comparison_lemmas(h, top, induced, bound=bound, seed=seed))
     sample: list[SetPresheaf] = []
-    sheaves = sheaves_and_sample(site.category, bound, top, ENGINE_SAMPLES,
-                                 Random(seed + 1), sample)
-    out.append(check_sheaf_transfer(h, induced, sheaves))
+    walk = reservoir(walk_presheaves(site.category, bound, top), ENGINE_SAMPLES,
+                     Random(seed + 1), sample)
+    out.append(check_sheaf_transfer(h, induced, (pre for pre, sheaf in walk if sheaf)))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

@@ -235,6 +235,28 @@ def test_load_error_exit_code(tmp_path):
     assert "syntax error" in err
 
 
+def test_non_utf8_file_is_load_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["validate", str(bad)])
+    assert code == 1 and out == ""
+    assert err.startswith("load error: ") and "Traceback" not in err
+
+
+def test_deeply_nested_document_is_load_error():
+    # json.loads itself overflows the interpreter stack on this input
+    with pytest.raises(SiteLoadError, match="nests too deeply"):
+        parse_site("[" * 100000)
+
+
+def test_presheaf_entry_unknown_key_is_load_error():
+    # dropping the key would load the same digest as the entry without it
+    doc = json.loads(serialize_site(fixture_doc("B")))
+    doc["presheaves"]["K2"]["note"] = {}
+    with pytest.raises(SiteLoadError, match="presheaf K2: unknown key: note"):
+        parse_site(json.dumps(doc))
+
+
 @pytest.mark.parametrize("doc", [
     {"objects": "xy"},
     {"objects": ["x"], "presheaves": {"P": {"values": {"x": "ab"}}}},

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from itertools import combinations
-from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +27,7 @@ from hosite import (
     validate_topology,
 )
 import hosite.induced as induced_mod
-from hosite.enumeration import enumerate_presheaves, sheaves_and_sample
+from hosite.enumeration import enumerate_presheaves, walk_presheaves
 from hosite.induced import TheoremViolation
 
 
@@ -175,15 +174,15 @@ def test_sheaf_transfer_on_fixtures(all_sites):
 
 def _recorded_classifications(monkeypatch) -> list:
     """(category, classification) of every call the induced checks make to
-    the mapping-level classifier, in order."""
+    the classifier, in order."""
     seen: list = []
-    original = induced_mod.classify_mappings
+    original = induced_mod.classify_presheaf
 
-    def record(value, restrict, top):
-        cls = original(value, restrict, top)
+    def record(pre, top):
+        cls = original(pre, top)
         seen.append((top.base, cls))
         return cls
-    monkeypatch.setattr(induced_mod, "classify_mappings", record)
+    monkeypatch.setattr(induced_mod, "classify_presheaf", record)
     return seen
 
 
@@ -195,9 +194,9 @@ def _walk_cases(all_sites, random_sites):
 def test_walk_quotient_classification_agrees_with_classify_presheaf(
         all_sites, random_sites, monkeypatch):
     # lemma groups (b)/(c) classify each quotient leaf and its gamma^*
-    # pullback from the walk's mappings; classify_presheaf on the built
-    # presheaf and on gamma_star of it must agree, kind and witness, leaf by
-    # leaf in order
+    # pullback as views over the walk's tables; classify_presheaf on the
+    # built presheaf and on gamma_star of it must agree, kind and witness,
+    # leaf by leaf in order
     seen = _recorded_classifications(monkeypatch)
     leaves = 0
     for site, bound in _walk_cases(all_sites, random_sites):
@@ -215,8 +214,9 @@ def test_walk_quotient_classification_agrees_with_classify_presheaf(
 
 
 def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, monkeypatch):
-    # the transfer check tests gamma_* of each base sheaf from the walk's
-    # mappings, and only where an induced least cover is not maximal;
+    # the transfer check tests gamma_* of each base sheaf as a partial view
+    # over the walk's tables, and only where an induced least cover is not
+    # maximal;
     # is_sheaf on the built image must agree on every base sheaf, in order
     seen = _recorded_classifications(monkeypatch)
     tested = 0
@@ -224,7 +224,7 @@ def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, mon
         h, top = site.homotopy, site.topology
         induced = induced_topology(h, top)
         seen.clear()
-        sheaves = sheaves_and_sample(h.base, bound, top, 0, Random(0), [])
+        sheaves = (pre for pre, sheaf in walk_presheaves(h.base, bound, top) if sheaf)
         result = check_sheaf_transfer(h, induced, sheaves)
         expected = [is_sheaf(gamma_lower_star(h, pre), induced)
                     for pre in enumerate_presheaves(h.base, bound) if is_sheaf(pre, top)]

@@ -153,7 +153,7 @@ def test_walk_verdict_agrees_with_is_sheaf(all_sites, random_sites):
     cases += [(all_sites[name], 3) for name in "BDE"] + [(all_sites["B"], 4)]
     for site, bound in cases:
         cat, top = site.category, site.topology
-        walked = [sheaf for _, _, sheaf in walk_presheaves(cat, bound, top)]
+        walked = [sheaf for _, sheaf in walk_presheaves(cat, bound, top)]
         assert walked == [is_sheaf(pre, top) for pre in enumerate_presheaves(cat, bound)]
     assert len(walked) == 77633 and sum(walked) == 26
 

@@ -26,7 +26,7 @@ from hosite import (
     validate_presheaf,
 )
 from hosite.cli import main
-from hosite.enumeration import sample_presheaves
+from hosite.enumeration import sample_presheaves, walk_presheaves
 from hosite.suite import ENGINE_SAMPLES
 
 # the package exports the function sheafify under the module's name
@@ -45,7 +45,7 @@ def test_each_category_enumerated_once(name, count_calls):
 
 def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
     # fixture B at bound 4: the walk decides all 77,633 base presheaves, and
-    # the gamma_* mappings of the 26 base sheaves are tested at the objects
+    # the gamma_* views of the 26 base sheaves are tested at the objects
     # the induced least cover on y reads; no image is built or passed to
     # is_sheaf
     site = fixture_site("B")
@@ -56,7 +56,30 @@ def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
     assert checks["sheaf-transfer"].data == {"sheaves": 26}
     assert len(calls) == 0 and len(pushed) == 0
     assert len(mapped) == 26
-    assert all(set(objects) == {"x", "y"} for _, _, _, objects in mapped)
+    assert all(set(objects) == {"x", "y"} for _, _, objects in mapped)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
+def test_suite_classifies_through_the_public_classifier(name, count_calls):
+    # every classification of the suite goes through classify_presheaf and
+    # every pullback through gamma_star, where a wrapper can see them: two
+    # classifications and one pullback per quotient leaf, one classification
+    # per tested transfer image and per engine presheaf, and two pullbacks
+    # per pulled-back morphism
+    site = fixture_site(name)
+    h, top = site.homotopy, site.topology
+    induced_top = induced.induced_topology(h, top)
+    leaves = sum(1 for _ in walk_presheaves(h.ho, 2))
+    sheaves = sum(1 for _, sheaf in walk_presheaves(h.base, 2, top) if sheaf)
+    images = sheaves if induced_top._sheaf_plans else 0
+    classified = count_calls(sheafify_mod, "classify_presheaf")
+    pulled = count_calls(homotopy, "gamma_star")
+    morphisms = count_calls(homotopy, "gamma_star_morphism")
+    engine_calls = count_calls(suite, "engine_checks")
+    assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
+    [(_, pres)] = engine_calls
+    assert len(classified) == 2 * leaves + images + len(pres)
+    assert len(pulled) == leaves + 2 * len(morphisms)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
@@ -96,9 +119,9 @@ def _on_quotient(morphisms) -> bool:
 
 
 def _fixed_classification(on_quotient: str, on_base: str):
-    """classify_presheaf(pre, top), or classify_mappings(value, restrict,
-    top), replaced by fixed kinds; a base witness names the maximal sieve on
-    the first object, so the converse search can read it."""
+    """classify_presheaf(pre, top) replaced by fixed kinds; a base witness
+    names the maximal sieve on the first object, so the converse search can
+    read it."""
     from hosite import Classification, maximal_sieve
 
     def classify(*args):
@@ -154,17 +177,17 @@ _FAILURES = [
      lambda: _induced_by(all_sieves), "preimage of"),
     ("iso-comparison", suite, "induced_topology",
      lambda: _induced_by(lambda ho, x: [maximal_sieve(ho, x)]), "induced-iso"),
-    ("sheaf-implications", induced, "classify_mappings",
+    ("sheaf-implications", induced, "classify_presheaf",
      lambda: _fixed_classification("separated-not-sheaf", "sheaf"), "base sheaf with"),
-    ("sheaf-implications", induced, "classify_mappings",
+    ("sheaf-implications", induced, "classify_presheaf",
      lambda: _fixed_classification("not-separated", "separated-not-sheaf"), "base separated"),
-    ("sheaf-implications", induced, "classify_mappings",
+    ("sheaf-implications", induced, "classify_presheaf",
      lambda: _fixed_classification("sheaf", "not-separated"), "separated original"),
     ("thickening", induced, "thicken_sieve", lambda: _thicken_to_empty_and_back,
      "thickening lost members; thickening is not idempotent; thickening changed"),
     ("thickening", induced, "thicken_sieve",
      lambda: lambda h, j: j, "distinct thickened sieves"),
-    ("sheaf-transfer", induced, "classify_mappings",
+    ("sheaf-transfer", induced, "classify_presheaf",
      lambda: _fixed_classification("separated-not-sheaf", "sheaf"), "right Kan extension"),
     ("sheafification-engine", suite, "classify_presheaf",
      lambda: _fixed_classification("not-separated", "not-separated"), "sheafified presheaf"),
