@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Verbs: validate, ho, induce, thicken, sheafify, classify, check-lemmas,
-fixture. Exit codes: 0 pass, 1 input invalid, 2 property/theorem violation
-(counterexample attached), 3 internal error. HOSITE_SEED overrides the
-default seed.
+fixture. Exit codes: 0 pass, 1 input invalid or output unwritable, 2
+property/theorem violation (counterexample attached), 3 internal error.
+HOSITE_SEED overrides the default seed.
 
 Every verb but fixture reads one site, and loading validates it: validate
 lists the verdicts loading reached.
@@ -42,6 +42,8 @@ def _read_site(path: str) -> SiteDocument:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SiteLoadError(f"load error: {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise SiteLoadError(f"load error: {path}: {exc.strerror or exc}") from None
     return parse_site(text)
 
 
@@ -199,13 +201,17 @@ def main(argv=None) -> int:
         text = serialize_site(fixture_doc(args.name))
         if args.out == "-":
             sys.stdout.write(text)
-        else:
+            return 0
+        try:
             Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"write error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         return 0
     try:
         _resolve_seed(args)
         site = _read_site(args.site)
-    except (SiteLoadError, OSError) as exc:
+    except SiteLoadError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     try:

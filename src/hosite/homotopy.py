@@ -7,9 +7,7 @@ to the epi y(Z) -> gamma^*y(Z); Gabriel–Zisman 1967): gamma_* keeps the
 sections on which parallel gamma-equal restrictions agree, and gamma_!
 identifies their images. The end and coend formulas survive only as test
 oracles. No presheaf table is edited once built, so ``gamma_star`` shares
-P's tables, and ``lower_star_mappings`` gives gamma_* as a partial view over
-them, which the sheaf-transfer check classifies on the presheaf walk's views
-without building the image.
+P's tables.
 
 Enrichment is 1-truncated: hom-sets carry unoriented homotopy edges, every
 vertex is tacitly self-connected, and nothing above connected components is
@@ -180,24 +178,15 @@ def gamma_shriek_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> Presh
     return PresheafMorphism(src, tgt, comps)
 
 
-def lower_star_mappings(h: HomotopyCategoryData, pre: SetPresheaf, objects) -> SetPresheaf:
-    """gamma_* of pre as a partial view over the quotient: at each z of
-    ``objects``, the sections on which every arrow into z agrees with its
-    class's representative; along q, pre's table along rep[q], unfiltered
-    (it keeps kept sections)."""
-    value, restrict, rep, into = pre.value, pre.restrict, h.rep, h.base.arrows_into
-    kept = {z: tuple(sorted(s for s in value[z] if all(
-        restrict[f][s] == restrict[rep[h.gamma[f]]][s] for f in into(z)))) for z in objects}
-    return SetPresheaf(h.ho, kept, {q: restrict[r] for q, r in rep.items()})
-
-
 def gamma_lower_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
     """Right Kan extension along gamma: the sections s of F(Z) with
     F(f)(s) = F(f')(s) whenever gamma(f) = gamma(f'); restriction along [w]
     is F(w) for any representative w."""
     if pre.cat != h.base:
         raise ValueError("presheaf does not live over the base category")
-    ho = h.ho
-    view = lower_star_mappings(h, pre, ho.objects)
-    restrict = {q: {s: view.restrict[q][s] for s in view.value[ho.cod[q]]} for q in ho.morphisms}
-    return SetPresheaf(ho, view.value, restrict)
+    ho, value, restrict, rep, gamma = h.ho, pre.value, pre.restrict, h.rep, h.gamma
+    kept = {z: tuple(sorted(s for s in value[z] if all(
+        restrict[f][s] == restrict[rep[gamma[f]]][s] for f in h.base.arrows_into(z))))
+        for z in ho.objects}
+    return SetPresheaf(ho, kept, {q: {s: restrict[rep[q]][s] for s in kept[ho.cod[q]]}
+                                  for q in ho.morphisms})

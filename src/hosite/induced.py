@@ -9,9 +9,9 @@ it becomes an isomorphism after sheafification. The agreement of the two
 characterizations is a theorem, so any disagreement fails loudly with a
 replayable counterexample. The sheaf-side checks walk the presheaves once
 per category and classify the walk's own views with ``classify_presheaf``:
-P and ``gamma_star`` of P for the lemma groups, and the partial view
-``lower_star_mappings`` of gamma_*P for the transfer. Presheaves are copied
-only for the sample; counterexamples are read off the live view.
+P and ``gamma_star`` of P for the lemma groups; the transfer classifies
+``gamma_lower_star`` of each base sheaf. Presheaves are copied only for the
+sample; counterexamples are read off the live view.
 """
 from __future__ import annotations
 
@@ -21,13 +21,7 @@ from typing import Iterable
 
 from .core import SetPresheaf, iter_hom_presheaves
 from .enumeration import reservoir, walk_presheaves
-from .homotopy import (
-    HomotopyCategoryData,
-    gamma_lower_star,
-    gamma_star,
-    gamma_star_morphism,
-    lower_star_mappings,
-)
+from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star, gamma_star_morphism
 from .report import CheckResult
 from .sheafify import classify_presheaf, is_tau_iso, matching_families
 from .sieves import (
@@ -255,20 +249,20 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
 def check_sheaf_transfer(h: HomotopyCategoryData, induced: GrothendieckTopology,
                          sheaves: Iterable[SetPresheaf]) -> CheckResult:
     """The right Kan extension must send every base sheaf to an induced
-    sheaf. Reads each while it is current and reports the first failure.
-    Images are tested only at the objects the induced least covers read: if
-    all are maximal, every image is a sheaf and the sheaves are counted."""
-    read = {o for x, plan in induced._sheaf_plans for o in (x, *plan.doms)}
+    sheaf. Classifies gamma_* of each while it is current and reports the
+    first failure with that image. If every induced least cover is maximal,
+    every image is a sheaf and the sheaves are only counted."""
     count = 0
     fail: CheckResult | None = None
     for pre in sheaves:
         count += 1
-        if fail is None and read and not classify_presheaf(
-                lower_star_mappings(h, pre, read), induced).is_sheaf:
-            fail = CheckResult(
-                "sheaf-transfer", "fail",
-                "right Kan extension of a sheaf is not a sheaf",
-                counterexample={"presheaf": _presheaf_payload(pre),
-                                "image": _presheaf_payload(gamma_lower_star(h, pre))})
+        if fail is None and induced._sheaf_plans:
+            image = gamma_lower_star(h, pre)
+            if not classify_presheaf(image, induced).is_sheaf:
+                fail = CheckResult(
+                    "sheaf-transfer", "fail",
+                    "right Kan extension of a sheaf is not a sheaf",
+                    counterexample={"presheaf": _presheaf_payload(pre),
+                                    "image": _presheaf_payload(image)})
     return fail or CheckResult("sheaf-transfer", "pass",
                                f"{count} sheaves transferred", data={"sheaves": count})

@@ -26,7 +26,7 @@ from functools import partial
 from itertools import islice
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
-from .sieves import GrothendieckTopology, Sieve, SievePlan, minimal_cover, pullback_sieve, sieve_plan
+from .sieves import GrothendieckTopology, Sieve, SievePlan, pullback_sieve, sieve_plan
 from .util import UnionFind, backtrack
 
 
@@ -234,7 +234,7 @@ def is_tau_iso(m: PresheafMorphism, top: GrothendieckTopology) -> TauIsoResult:
     cat, src, tgt = m.source.cat, m.source, m.target
     image = {o: set(m.components[o].values()) for o in cat.objects}
     for x in cat.objects:
-        cover = minimal_cover(top, x).members
+        cover = top._cover_plan[x].members
         if any(tgt.restrict[f][t] not in image[cat.dom[f]]
                for t in tgt.value[x] for f in cover):
             return TauIsoResult(False, x)
@@ -257,7 +257,7 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
     not biject with the minimal-sieve families.
     """
     cat = pre.cat
-    minimal = {x: minimal_cover(top, x) for x in cat.objects}
+    plans = top._cover_plan
     class_of: dict[str, dict[tuple[Sieve, str], str]] = {}
     value: dict[str, tuple[str, ...]] = {}
     pair_fams: dict[str, dict[tuple[Sieve, str], dict[str, str]]] = {}
@@ -279,7 +279,7 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
                         break
         names = {}
         for root, members in uf.classes().items():
-            restr = {family_key({f: pairs[k][f] for f in minimal[x].members}) for k in members}
+            restr = {family_key({f: pairs[k][f] for f in plans[x].members}) for k in members}
             if len(restr) != 1:
                 raise ValueError(f"colimit class on {x} has inconsistent minimal restrictions")
             name = restr.pop()
@@ -289,7 +289,7 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
                 names[k] = name
         class_of[x] = names
         pair_fams[x] = pairs
-        expected = {family_key(f) for f in _family_dicts(pre, top._cover_plan[x])}
+        expected = {family_key(f) for f in _family_dicts(pre, plans[x])}
         if set(names.values()) != expected:
             raise ValueError(f"colimit classes on {x} do not exhaust the minimal-sieve families")
         value[x] = tuple(sorted(set(names.values())))

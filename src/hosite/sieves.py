@@ -4,7 +4,8 @@ Sieves are stored as explicit member sets (generators are forgotten after
 generation) and topologies store every covering sieve, including the upward
 closure: comparison checks need exact cover-set equality. A topology on a
 finite category is fixed by its least covers, one per object: the covers of
-x are the sieves containing it. Each topology computes them once.
+x are the sieves containing it. Each topology computes them once, in its
+cover plan, and every reader takes them from there.
 """
 from __future__ import annotations
 
@@ -137,16 +138,6 @@ class GrothendieckTopology:
     base: FiniteCategory
     covers: dict[str, frozenset[Sieve]]
 
-    def __post_init__(self):
-        # least cover per object, or None when the covers of x are not
-        # closed under intersection (an invalid topology)
-        least = {}
-        for x, sieves in self.covers.items():
-            if sieves:
-                smin = Sieve(x, frozenset.intersection(*(s.members for s in sieves)))
-                least[x] = smin if smin in sieves else None
-        object.__setattr__(self, "_least", least)
-
     def covers_of(self, x: str) -> tuple[Sieve, ...]:
         return tuple(sorted(self.covers.get(x, frozenset()), key=Sieve.sort_key))
 
@@ -243,11 +234,12 @@ def saturate_topology(cat: FiniteCategory, generating) -> GrothendieckTopology:
 
 
 def minimal_cover(top: GrothendieckTopology, x: str) -> Sieve:
-    """The least covering sieve on x, computed once per topology; covers
-    are closed under intersection in a valid topology, so it is covering."""
-    if x not in top._least:
+    """The least cover of x: the intersection of its covers, itself a cover
+    in a valid topology. ``top._cover_plan`` holds one per object."""
+    sieves = top.covers.get(x)
+    if not sieves:
         raise ValueError(f"no covering sieves on {x}")
-    smin = top._least[x]
-    if smin is None:
+    smin = Sieve(x, frozenset.intersection(*(s.members for s in sieves)))
+    if smin not in sieves:
         raise ValueError(f"covers of {x} are not closed under intersection; topology invalid")
     return smin

@@ -243,6 +243,21 @@ def test_non_utf8_file_is_load_error(tmp_path):
     assert err.startswith("load error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-file", "directory"])
+def test_unreadable_site_is_load_error(tmp_path, missing):
+    path = tmp_path / "nope.json" if missing else tmp_path
+    reason = "No such file or directory" if missing else "Is a directory"
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out, err) == (1, "", f"load error: {path}: {reason}\n")
+
+
+def test_unwritable_fixture_output_is_one_line(tmp_path):
+    path = tmp_path / "missing" / "b.json"
+    code, out, err = run_cli(["fixture", "B", "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert err == f"write error: {path}: No such file or directory\n"
+
+
 def test_deeply_nested_document_is_load_error():
     # json.loads itself overflows the interpreter stack on this input
     with pytest.raises(SiteLoadError, match="nests too deeply"):

@@ -214,10 +214,9 @@ def test_walk_quotient_classification_agrees_with_classify_presheaf(
 
 
 def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, monkeypatch):
-    # the transfer check tests gamma_* of each base sheaf as a partial view
-    # over the walk's tables, and only where an induced least cover is not
-    # maximal;
-    # is_sheaf on the built image must agree on every base sheaf, in order
+    # the transfer check classifies gamma_* of each base sheaf, and only
+    # where an induced least cover is not maximal; is_sheaf on the image of
+    # the enumerated presheaf must agree on every base sheaf, in order
     seen = _recorded_classifications(monkeypatch)
     tested = 0
     for site, bound in _walk_cases(all_sites, random_sites):

@@ -5,15 +5,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hosite.sieves as sieves
 from hosite import (
     GrothendieckTopology,
     Sieve,
     all_sieves,
+    fixture_site,
     generate_sieve,
     maximal_sieve,
     minimal_cover,
     pullback_sieve,
     random_site,
+    run_site_suite,
     saturate_topology,
     trivial_topology,
     validate_sieve,
@@ -149,6 +152,38 @@ def test_cover_intersections_covering(all_sites):
                 for t in covers:
                     assert Sieve(x, s.members & t.members) in top.covers[x]
             minimal_cover(top, x)  # must not raise
+
+
+def test_minimal_cover_without_covers(site_b):
+    cat = site_b.category
+    top = GrothendieckTopology(cat, {"y": frozenset([maximal_sieve(cat, "y")])})
+    with pytest.raises(ValueError, match="^no covering sieves on x$"):
+        minimal_cover(top, "x")
+    assert minimal_cover(top, "y") == maximal_sieve(cat, "y")
+
+
+def test_minimal_cover_of_covers_not_closed_under_intersection(site_b):
+    # {f1} and {f2} cover y but their intersection, the empty sieve, does not
+    cat = site_b.category
+    top = GrothendieckTopology(cat, {
+        "x": frozenset([maximal_sieve(cat, "x")]),
+        "y": frozenset([Sieve("y", frozenset({"f1"})), Sieve("y", frozenset({"f2"})),
+                        maximal_sieve(cat, "y")]),
+    })
+    with pytest.raises(ValueError, match="^covers of y are not closed under intersection; "
+                                         "topology invalid$"):
+        minimal_cover(top, "y")
+    assert minimal_cover(top, "x") == maximal_sieve(cat, "x")
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
+def test_suite_computes_each_least_cover_once(name, count_calls):
+    # one least cover per object for the base topology and one for the
+    # induced topology, each read from the cover plan thereafter
+    site = fixture_site(name)
+    calls = count_calls(sieves, "minimal_cover")
+    run_site_suite(site, bound=2, seed=0)
+    assert len(calls) == 2 * len(site.category.objects)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -45,18 +45,15 @@ def test_each_category_enumerated_once(name, count_calls):
 
 def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
     # fixture B at bound 4: the walk decides all 77,633 base presheaves, and
-    # the gamma_* views of the 26 base sheaves are tested at the objects
-    # the induced least cover on y reads; no image is built or passed to
-    # is_sheaf
+    # gamma_* is built once for each of the 26 base sheaves, whose image is
+    # classified without passing through is_sheaf
     site = fixture_site("B")
     calls = count_calls(sheafify_mod, "is_sheaf")
     pushed = count_calls(homotopy, "gamma_lower_star")
-    mapped = count_calls(homotopy, "lower_star_mappings")
     checks = {c.name: c for c in run_site_suite(site, bound=4, seed=0)}
     assert checks["sheaf-transfer"].data == {"sheaves": 26}
-    assert len(calls) == 0 and len(pushed) == 0
-    assert len(mapped) == 26
-    assert all(set(objects) == {"x", "y"} for _, _, objects in mapped)
+    assert len(calls) == 0
+    assert len(pushed) == 26
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
