@@ -244,15 +244,18 @@ def validate_presheaf(pre: SetPresheaf, cat: FiniteCategory | None = None) -> Va
     return PASS
 
 
+def _arrows_presheaf(cat: FiniteCategory, arrows) -> SetPresheaf:
+    """Arrows into one object, closed under precomposition, as a presheaf."""
+    value = {v: tuple(sorted(f for f in arrows if cat.dom[f] == v)) for v in cat.objects}
+    restrict = {g: {f: cat.compose(f, g) for f in value[cat.cod[g]]} for g in cat.morphisms}
+    return SetPresheaf(cat, value, restrict)
+
+
 def yoneda(cat: FiniteCategory, x: str) -> SetPresheaf:
-    """The representable presheaf Hom(-, x); restriction is precomposition."""
+    """The representable presheaf Hom(-, x)."""
     if x not in set(cat.objects):
         raise ValueError(f"unknown object id: {x}")
-    value = {v: tuple(sorted(cat.hom(v, x))) for v in cat.objects}
-    restrict = {}
-    for g in cat.morphisms:
-        restrict[g] = {h: cat.compose(h, g) for h in value[cat.cod[g]]}
-    return SetPresheaf(cat, value, restrict)
+    return _arrows_presheaf(cat, cat.arrows_into(x))
 
 
 @dataclass(frozen=True)

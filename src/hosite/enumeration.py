@@ -7,7 +7,7 @@ sets the last of them (or once per size vector), for the whole subtree.
 Each leaf is a ``SetPresheaf`` view over the walk's own tables, one per size
 vector, valid until the next item; the walk replaces tables and never edits
 one. Callers classify the view with the ordinary presheaf API;
-``reservoir`` copies only the items its sample keeps.
+``reservoir`` copies only the items its sample keeps, and copies share tables.
 """
 from __future__ import annotations
 
@@ -85,9 +85,9 @@ def walk_presheaves(cat: FiniteCategory, max_card: int, top: GrothendieckTopolog
 
 
 def _build(item) -> SetPresheaf:
-    """A presheaf of its own, copied from a walk item."""
+    """A walk item kept past the next one: copies the slot mapping only."""
     pre = item[0]
-    return SetPresheaf(pre.cat, dict(pre.value), {m: dict(t) for m, t in pre.restrict.items()})
+    return SetPresheaf(pre.cat, pre.value, dict(pre.restrict))
 
 
 def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPresheaf]:

@@ -7,7 +7,8 @@ to the epi y(Z) -> gamma^*y(Z); Gabriel–Zisman 1967): gamma_* keeps the
 sections on which parallel gamma-equal restrictions agree, and gamma_!
 identifies their images. The end and coend formulas survive only as test
 oracles. No presheaf table is edited once built, so ``gamma_star`` shares
-P's tables.
+P's value and restriction tables, and ``gamma_star_morphism`` shares the
+components of the morphism it pulls back.
 
 Enrichment is 1-truncated: hom-sets carry unoriented homotopy edges, every
 vertex is tacitly self-connected, and nothing above connected components is
@@ -135,8 +136,7 @@ def gamma_star(h: HomotopyCategoryData, pre: SetPresheaf) -> SetPresheaf:
 
 
 def gamma_star_morphism(h: HomotopyCategoryData, m: PresheafMorphism) -> PresheafMorphism:
-    return PresheafMorphism(gamma_star(h, m.source), gamma_star(h, m.target),
-                            {o: dict(m.components[o]) for o in h.base.objects})
+    return PresheafMorphism(gamma_star(h, m.source), gamma_star(h, m.target), m.components)
 
 
 def _shriek(h: HomotopyCategoryData, pre: SetPresheaf):

@@ -25,26 +25,20 @@ from .util import backtrack
 _NODE_BUDGET = 4000
 
 
-def _complete_pattern(objects, arrows, max_morphisms):
+def _complete_pattern(arrows, max_morphisms):
     """Ensure every composable pair has at least one candidate composite,
-    adding fresh arrows while the budget allows."""
+    adding one fresh arrow per round until the cap ends the loop."""
     arrows = list(arrows)
-    for _ in range(2 * max_morphisms + 4):
-        have = {}
-        for name, d, c in arrows:
-            have.setdefault((d, c), []).append(name)
-        missing = []
-        for g, gd, gc in arrows:
-            for f, fd, fc in arrows:
-                if fc == gd and (fd, gc) not in have and fd != gc:
-                    missing.append((fd, gc))
-        if not missing:
+    while True:
+        have = {(d, c) for _, d, c in arrows}
+        missing = next(((fd, gc) for _, gd, gc in arrows for _, fd, fc in arrows
+                        if fc == gd and (fd, gc) not in have and fd != gc), None)
+        if missing is None:
             return arrows
         if len(arrows) >= max_morphisms:
             return None
-        d, c = missing[0]
+        d, c = missing
         arrows.append((f"m{len(arrows) + 1}", d, c))
-    return None
 
 
 def _slot_triples(pairs, candidates):
@@ -129,7 +123,7 @@ def _sample_category(rng: Random, max_objects, max_morphisms):
         else:
             c = rng.randrange(d, n_obj) if rng.random() < 0.85 else rng.randrange(n_obj)
         arrows.append((f"m{i + 1}", objects[d], objects[c]))
-    arrows = _complete_pattern(objects, arrows, max_morphisms)
+    arrows = _complete_pattern(arrows, max_morphisms)
     if arrows is None:
         return None
     composition = _assign_composites(rng, objects, arrows)

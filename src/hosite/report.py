@@ -64,8 +64,7 @@ def emit_report(report: CheckReport, fmt: str = "text") -> str:
     for key, value in sorted(report.flags.items()):
         lines.append(f"{key}: {value}")
     for c in report.checks:
-        tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}.get(c.verdict, c.verdict.upper())
-        lines.append(f"[{tag}] {c.name}" + (f" — {c.detail}" if c.detail else ""))
+        lines.append(f"[{c.verdict.upper()}] {c.name}" + (f" — {c.detail}" if c.detail else ""))
         if c.data:
             lines.append("       " + json.dumps(c.data, sort_keys=True, ensure_ascii=True))
         if c.counterexample:

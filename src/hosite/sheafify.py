@@ -91,18 +91,18 @@ class Classification:
         return self.kind != "not-separated"
 
 
-def _injective(pre: SetPresheaf, plan: SievePlan, x: str) -> bool:
-    """Whether the sections of P(x) restrict to distinct tuples over the
-    plan's members; reads only the members' maps."""
+def _injective(pre: SetPresheaf, plan: SievePlan) -> bool:
+    """Whether the sections of P(x), x the plan's root, restrict to distinct
+    tuples over the plan's members; reads only the members' maps."""
     tables = [pre.restrict[f] for f in plan.members]
-    sections = pre.value[x]
+    sections = pre.value[plan.sieve.root]
     return len({tuple([t[s] for t in tables]) for s in sections}) == len(sections)
 
 
-def _exact_family_count(pre: SetPresheaf, plan: SievePlan, x: str) -> bool:
-    """Whether there are exactly |P(x)| matching families over the plan; the
-    count stops past it."""
-    n = len(pre.value[x])
+def _exact_family_count(pre: SetPresheaf, plan: SievePlan) -> bool:
+    """Whether there are exactly |P(x)| matching families over the plan on
+    x; the count stops past it."""
+    n = len(pre.value[plan.sieve.root])
     return sum(1 for _ in islice(_families(pre, plan), n + 1)) == n
 
 
@@ -111,10 +111,10 @@ def sheaf_tests(top: GrothendieckTopology):
     of the test at one least cover and reads only the maps in ``reads``. A
     sheaf passes all of them: a count other than |P(x)| already rules out a
     bijection."""
-    for x, plan in top._sheaf_plans:
-        yield plan.members, partial(_injective, plan=plan, x=x)
+    for plan in top._sheaf_plans:
+        yield plan.members, partial(_injective, plan=plan)
         reads = {g for checks in plan.triggers for g, _, _ in checks}
-        yield reads, partial(_exact_family_count, plan=plan, x=x)
+        yield reads, partial(_exact_family_count, plan=plan)
 
 
 def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
@@ -124,11 +124,11 @@ def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classifica
     condition. The witness is the first non-bijective cover; not-separated
     wins, keeping an earlier one."""
     first_nonbij: tuple[str, Sieve] | None = None
-    for x, plan in top._sheaf_plans:
-        if not _injective(pre, plan, x):
-            return Classification("not-separated", first_nonbij or (x, plan.sieve))
-        if first_nonbij is None and not _exact_family_count(pre, plan, x):
-            first_nonbij = (x, plan.sieve)
+    for plan in top._sheaf_plans:
+        if not _injective(pre, plan):
+            return Classification("not-separated", first_nonbij or (plan.sieve.root, plan.sieve))
+        if first_nonbij is None and not _exact_family_count(pre, plan):
+            first_nonbij = (plan.sieve.root, plan.sieve)
     if first_nonbij is not None:
         return Classification("separated-not-sheaf", first_nonbij)
     return Classification("sheaf")

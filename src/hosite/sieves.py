@@ -5,7 +5,8 @@ generation) and topologies store every covering sieve, including the upward
 closure: comparison checks need exact cover-set equality. A topology on a
 finite category is fixed by its least covers, one per object: the covers of
 x are the sieves containing it. Each topology computes them once, in its
-cover plan, and every reader takes them from there.
+cover plan, and every reader takes them from there. A sieve lattice of more
+than ``MAX_SIEVES`` (2^16) sieves on one object is refused, naming the object.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from .core import (
     ValidationReport,
     yoneda,
 )
-from .core import _fail
+from .core import _arrows_presheaf, _fail
+
+MAX_SIEVES = 1 << 16  # the largest sieve lattice on one object all_sieves lists
 
 
 @dataclass(frozen=True)
@@ -110,21 +113,20 @@ def sieve_plan(cat: FiniteCategory, s: Sieve) -> SievePlan:
 
 def all_sieves(cat: FiniteCategory, x: str) -> tuple[Sieve, ...]:
     """The full sieve lattice on x, ordered by (size, members): every sieve
-    is the union of the principal sieves {f∘g} of its members."""
+    is the union of the principal sieves {f∘g} of its members. Raises
+    ValueError once the count passes ``MAX_SIEVES``, before memory runs out."""
     found = {frozenset()}
     for f in cat.arrows_into(x):
         principal = frozenset(cat.compose(f, g) for g in cat.arrows_into(cat.dom[f]))
         found |= {s | principal for s in found}
+        if len(found) > MAX_SIEVES:
+            raise ValueError(f"the sieve lattice on {x} has more than {MAX_SIEVES} sieves")
     return tuple(sorted((Sieve(x, s) for s in found), key=Sieve.sort_key))
 
 
 def sieve_presheaf(cat: FiniteCategory, s: Sieve) -> SetPresheaf:
     """The sieve as a subpresheaf of yoneda(root); elements are its members."""
-    value = {v: tuple(sorted(f for f in s.members if cat.dom[f] == v)) for v in cat.objects}
-    restrict = {}
-    for g in cat.morphisms:
-        restrict[g] = {f: cat.compose(f, g) for f in value[cat.cod[g]]}
-    return SetPresheaf(cat, value, restrict)
+    return _arrows_presheaf(cat, s.members)
 
 
 def sieve_inclusion(cat: FiniteCategory, s: Sieve) -> PresheafMorphism:
@@ -146,12 +148,12 @@ class GrothendieckTopology:
         return {x: sieve_plan(self.base, minimal_cover(self, x)) for x in self.base.objects}
 
     @cached_property
-    def _sheaf_plans(self) -> tuple[tuple[str, SievePlan], ...]:
-        """(x, plan) for each object whose least cover is not maximal, in
-        declaration order: the canonical map to families over a maximal
-        sieve is always a bijection, so only these covers can fail."""
-        return tuple((x, plan) for x, plan in self._cover_plan.items()
-                     if len(plan.members) != len(self.base.arrows_into(x)))
+    def _sheaf_plans(self) -> tuple[SievePlan, ...]:
+        """The plans of the least covers that are not maximal, in declaration
+        order: the canonical map to families over a maximal sieve is always
+        a bijection, so only these covers can fail."""
+        return tuple(plan for plan in self._cover_plan.values()
+                     if len(plan.members) != len(self.base.arrows_into(plan.sieve.root)))
 
 
 def trivial_topology(cat: FiniteCategory) -> GrothendieckTopology:

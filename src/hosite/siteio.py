@@ -33,7 +33,6 @@ from .homotopy import EnrichedCategory, HomotopyCategoryData, homotopy_category
 from .sieves import GrothendieckTopology, saturate_topology, validate_topology
 
 COMPOSE_SIGN = "∘"
-_TOP_KEYS = {"objects", "morphisms", "composition", "edges", "covers", "presheaves"}
 
 
 class SiteLoadError(Exception):
@@ -115,7 +114,7 @@ def _check(report: ValidationReport, prefix: str = "") -> None:
 def load_site(doc: dict) -> SiteDocument:
     if not isinstance(doc, dict):
         raise _err("site document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - set(_SHAPES)
     if unknown:
         raise _err(f"unknown key: {sorted(unknown)[0]}")
     for key, shape in _SHAPES.items():

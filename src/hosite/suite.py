@@ -6,7 +6,6 @@ from itertools import islice, pairwise, repeat
 from random import Random
 
 from .core import (
-    PresheafMorphism,
     SetPresheaf,
     componentwise_bijection,
     equalizer_presheaf,
@@ -42,8 +41,9 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
     a sheaf, the unit is an iso after sheafification, the construction is
     idempotent, the colimit oracle agrees, and finite products and
     equalizers are preserved. Each presheaf, product and equalizer is
-    sheafified once, and morphisms are transported between the results. A
-    failure carries the presheaves it was found on."""
+    sheafified once, and morphisms are transported between the results: at
+    each o the transported projections must pair a(F×G)(o) onto aF(o)×aG(o).
+    A failure carries the presheaves it was found on."""
     label = "sheafification-engine"
 
     def fail(detail: str, *culprits: SetPresheaf) -> list[CheckResult]:
@@ -67,14 +67,11 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
         prod, p1, p2 = product_presheaf(f, g)
         sprod = sheafify(prod, top)
         s1, s2 = transport_morphism(p1, sprod, sf), transport_morphism(p2, sprod, sg)
-        spair, _, _ = product_presheaf(sf.sheaf, sg.sheaf)
-        comps = {
-            o: {e: f"({s1.components[o][e]},{s2.components[o][e]})" for e in sprod.sheaf.value[o]}
-            for o in prod.cat.objects
-        }
-        ok, witness = componentwise_bijection(PresheafMorphism(sprod.sheaf, spair, comps))
-        if not ok:
-            return fail(f"product comparison fails at {witness}", f, g)
+        for o in prod.cat.objects:
+            sections = sprod.sheaf.value[o]
+            seen = {(s1.components[o][e], s2.components[o][e]) for e in sections}
+            if not len(seen) == len(sections) == len(sf.sheaf.value[o]) * len(sg.sheaf.value[o]):
+                return fail(f"product comparison fails at {o}", f, g)
         parallel = list(islice(iter_hom_presheaves(f, g), 2))
         if len(parallel) == 2:
             u, v = parallel
@@ -149,25 +146,20 @@ def run_population(count: int = 200, base_seed: int = 0, bound: int = 2,
 
 def summarize_population(results) -> list[CheckResult]:
     """One aggregated result per check name across a population run."""
-    order: list[str] = []
     totals: dict[str, int] = {}
     failures: dict[str, tuple[str, CheckResult]] = {}
     for label, checks in results:
         for check in checks:
-            if check.name not in totals:
-                order.append(check.name)
-                totals[check.name] = 0
-            totals[check.name] += 1
+            totals[check.name] = totals.get(check.name, 0) + 1
             if check.verdict == "fail" and check.name not in failures:
                 failures[check.name] = (label, check)
     out = []
-    for name in order:
+    for name, total in totals.items():
         if name in failures:
             label, check = failures[name]
             out.append(CheckResult(name, "fail", f"{label}: {check.detail}",
                                    counterexample=check.counterexample))
         else:
-            out.append(CheckResult(name, "pass",
-                                   f"pass on {totals[name]}/{totals[name]} sites",
-                                   data={"sites": totals[name]}))
+            out.append(CheckResult(name, "pass", f"pass on {total}/{total} sites",
+                                   data={"sites": total}))
     return out

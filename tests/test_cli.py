@@ -157,6 +157,26 @@ def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys):
     assert len(all_sieves(parse_site(serialize_site(doc)).category, "c18")) == 19
 
 
+def _fan_site(tmp_path, n):
+    # n independent arrows s -> t: the sieve lattice on t has 2^n + 1 sieves
+    path = tmp_path / f"fan{n}.json"
+    path.write_text(serialize_site({
+        "objects": ["s", "t"],
+        "morphisms": [{"name": f"a{i}", "dom": "s", "cod": "t"} for i in range(n)],
+    }), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_oversized_sieve_lattice_is_load_error(tmp_path, capsys, n):
+    assert main(["validate", _fan_site(tmp_path, n)]) == 1
+    assert capsys.readouterr().err == "load error: the sieve lattice on t has more than 65536 sieves\n"
+
+
+def test_sieve_lattice_below_the_limit_loads(tmp_path, capsys):
+    assert main(["validate", _fan_site(tmp_path, 15)]) == 0
+
+
 def test_all_fixtures_self_validate(fixture_files):
     for name, path in fixture_files.items():
         code, out, err = run_cli(["validate", path])

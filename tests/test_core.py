@@ -11,6 +11,7 @@ from hosite import (
     hom_presheaves,
     make_category,
     make_presheaf,
+    maximal_sieve,
     run_site_suite,
     sieve_presheaf,
     generate_sieve,
@@ -97,6 +98,14 @@ def test_yoneda_values(site_a, site_b, site_d):
 def test_yoneda_unknown_object(site_b):
     with pytest.raises(ValueError):
         yoneda(site_b.category, "nope")
+
+
+def test_yoneda_is_the_maximal_sieve_presheaf(all_sites, random_sites):
+    # equal field by field, and in the order of every dict
+    for cat in [s.category for s in all_sites.values()] + [s.category for s in random_sites]:
+        for x in cat.objects:
+            y, m = yoneda(cat, x), sieve_presheaf(cat, maximal_sieve(cat, x))
+            assert repr((y.value, y.restrict)) == repr((m.value, m.restrict))
 
 
 def test_hom_counts_on_fixture_b(site_b):

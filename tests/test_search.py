@@ -19,8 +19,8 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def presheaf_sequence(cat, bound):
-    for pre in enumerate_presheaves(cat, bound):
+def presheaf_sequence(presheaves):
+    for pre in presheaves:
         yield json.dumps([pre.value, pre.restrict], sort_keys=True)
 
 
@@ -77,8 +77,12 @@ FAMILY_DIGESTS = {
 
 @pytest.mark.parametrize("name,bound", sorted(PRESHEAF_DIGESTS))
 def test_presheaf_order_frozen(all_sites, name, bound):
-    lines = presheaf_sequence(all_sites[name].category, bound)
-    assert _digest(lines) == PRESHEAF_DIGESTS[(name, bound)]
+    # digested as each presheaf is yielded, and again once the walk is over:
+    # a copy that still aliased the walk's live tables would change the second
+    cat = all_sites[name].category
+    assert _digest(presheaf_sequence(enumerate_presheaves(cat, bound))) == PRESHEAF_DIGESTS[(name, bound)]
+    kept = list(enumerate_presheaves(cat, bound))
+    assert _digest(presheaf_sequence(kept)) == PRESHEAF_DIGESTS[(name, bound)]
 
 
 @pytest.mark.parametrize("name", sorted(HOM_DIGESTS))

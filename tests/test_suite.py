@@ -14,6 +14,7 @@ import hosite.homotopy as homotopy
 import hosite.induced as induced
 import hosite.suite as suite
 from hosite import (
+    CheckResult,
     Sieve,
     all_sieves,
     fixture_site,
@@ -23,6 +24,7 @@ from hosite import (
     maximal_sieve,
     run_site_suite,
     serialize_site,
+    summarize_population,
     validate_presheaf,
 )
 from hosite.cli import main
@@ -162,10 +164,13 @@ def _thicken_to_empty_and_back(h, j):
     return Sieve(j.root, frozenset() if j.members else frozenset(h.base.arrows_into(j.root)))
 
 
-def _product_comparison_without_components():
+def _transport_to_first_section():
+    """Transport that sends every section to the target's first one, so the
+    sheafified product no longer pairs onto the product of the sheafifications."""
     from hosite.core import PresheafMorphism
-    return lambda source, target, comps: PresheafMorphism(
-        source, target, {o: {} for o in comps})
+    return lambda m, source, target: PresheafMorphism(source.sheaf, target.sheaf, {
+        o: {e: target.sheaf.value[o][0] for e in source.sheaf.value[o]}
+        for o in source.sheaf.cat.objects})
 
 
 _FAILURES = [
@@ -194,8 +199,8 @@ _FAILURES = [
      lambda: lambda m: (False, m.source.cat.objects[0]), "double sheafification"),
     ("sheafification-engine", suite, "plus_construction_via_colimit",
      lambda: lambda pre, top: None, "colimit oracle"),
-    ("sheafification-engine", suite, "PresheafMorphism",
-     _product_comparison_without_components, "product comparison"),
+    ("sheafification-engine", suite, "transport_morphism",
+     _transport_to_first_section, "product comparison"),
     ("sheafification-engine", suite, "equalizer_presheaf",
      _equalizer_with_wrong_target, "equalizer comparison"),
 ]
@@ -254,3 +259,17 @@ def test_forced_failure_is_a_replayable_counterexample(
         cat = site.homotopy.ho if _on_quotient(payload["restrictions"]) else site.category
         pre = make_presheaf(cat, payload["values"], payload["restrictions"])
         assert validate_presheaf(pre, cat), payload
+
+
+def test_summarize_population_keeps_first_appearance_order():
+    results = [
+        ("site-1", [CheckResult("a", "pass"), CheckResult("b", "pass")]),
+        ("site-2", [CheckResult("b", "fail", "first", counterexample={"k": 1}),
+                    CheckResult("c", "pass"), CheckResult("b", "fail", "second"),
+                    CheckResult("a", "pass")]),
+    ]
+    out = summarize_population(results)
+    assert [(c.name, c.verdict) for c in out] == [("a", "pass"), ("b", "fail"), ("c", "pass")]
+    assert (out[0].detail, out[0].data) == ("pass on 2/2 sites", {"sites": 2})
+    assert (out[1].detail, out[1].counterexample) == ("site-2: first", {"k": 1})
+    assert (out[2].detail, out[2].data) == ("pass on 1/1 sites", {"sites": 1})
