@@ -210,16 +210,11 @@ def main(argv=None) -> int:
         return 0
     try:
         _resolve_seed(args)
-        site = _read_site(args.site)
+        report = run_command(args.verb, _read_site(args.site), args)
     except SiteLoadError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    try:
-        report = run_command(args.verb, site, args)
-    except SiteLoadError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - internal error path
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(emit_report(report, "json" if args.json else "text"))

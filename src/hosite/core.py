@@ -51,18 +51,15 @@ class FiniteCategory:
 
     def __post_init__(self):
         into: dict[str, list[str]] = {o: [] for o in self.objects}
-        hom: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
-            d, c = self.dom.get(m), self.cod.get(m)
+            c = self.cod.get(m)
             if c in into:
                 into[c].append(m)
-            hom.setdefault((d, c), []).append(m)
         object.__setattr__(self, "_into", {o: tuple(v) for o, v in into.items()})
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "_ids", frozenset(self.identity.values()))
 
     def hom(self, v: str, x: str) -> tuple[str, ...]:
-        return self._hom.get((v, x), ())
+        return tuple(m for m in self.arrows_into(x) if self.dom.get(m) == v)
 
     def arrows_into(self, x: str) -> tuple[str, ...]:
         return self._into.get(x, ())

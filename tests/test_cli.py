@@ -24,6 +24,7 @@ from hosite import (
     serialize_site,
     site_digest,
 )
+import hosite.cli as cli
 from hosite.cli import build_parser, main, run_command
 import hosite.induced as induced_mod
 from hosite.siteio import SiteLoadError
@@ -185,8 +186,9 @@ def test_all_fixtures_self_validate(fixture_files):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_each_part_is_validated_once(fixture_files, count_calls, name):
-    # loading validates each part once; the validate verb re-runs nothing
-    # and lists the verdicts loading reached
+    # loading validates each input part once and trusts saturation to build
+    # a topology (tests/test_sieves.py checks it); the validate verb re-runs
+    # nothing and lists the verdicts loading reached
     calls = {fn: count_calls(sys.modules[f"hosite.{module}"], fn)
              for module, fn in (("core", "validate_category"),
                                   ("homotopy", "validate_enrichment"),
@@ -195,7 +197,7 @@ def test_each_part_is_validated_once(fixture_files, count_calls, name):
     site = parse_site(Path(fixture_files[name]).read_text(encoding="utf-8"))
     assert {n: len(c) for n, c in calls.items()} == {
         "validate_category": 1, "validate_enrichment": 1,
-        "validate_topology": 1, "validate_presheaf": len(site.presheaves)}
+        "validate_topology": 0, "validate_presheaf": len(site.presheaves)}
     for c in calls.values():
         c.clear()
     args = build_parser().parse_args(["validate", fixture_files[name], "--seed", "0"])
@@ -494,6 +496,27 @@ def test_violation_report_replayable(fixture_files, monkeypatch, capsys):
     payload = json.loads(outputs[0])
     failing = [c for c in payload["checks"] if c["verdict"] == "fail"]
     assert failing and failing[0]["counterexample"]["site"]["objects"] == ["x", "y"]
+
+
+def test_induce_reports_theorem_violation(fixture_files, monkeypatch, capsys):
+    # a verb that raises TheoremViolation reports it as a failing check
+    monkeypatch.setattr(induced_mod, "is_bracket_cover", lambda h, t, u: False)
+    outputs = []
+    for _ in range(2):
+        assert main(["induce", fixture_files["B"], "--json"]) == 2
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    [check] = json.loads(outputs[0])["checks"]
+    assert (check["name"], check["verdict"]) == ("theorem-violation", "fail")
+    assert set(check["counterexample"]) == {"site", "disagreement"}
+
+
+def test_crash_while_loading_is_internal_error(fixture_files, monkeypatch, capsys):
+    def crash(text):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "parse_site", crash)
+    assert main(["validate", fixture_files["B"]]) == 3
+    assert capsys.readouterr().err == "internal error: boom\n"
 
 
 def test_violation_report_prints_replay_line(fixture_files, monkeypatch, capsys):

@@ -53,6 +53,15 @@ def test_homotopy_category_fixture_b(site_b):
     assert validate_category(h.ho)
 
 
+def test_hom_is_declaration_order_filter(all_sites, random_sites):
+    for site in [*all_sites.values(), *random_sites]:
+        for cat in (site.category, site.homotopy.ho):
+            for v in cat.objects:
+                for x in cat.objects:
+                    assert cat.hom(v, x) == tuple(
+                        m for m in cat.morphisms if (cat.dom[m], cat.cod[m]) == (v, x))
+
+
 def test_homotopy_category_discrete(site_c):
     h = site_c.homotopy
     assert len(h.ho.morphisms) == len(h.base.morphisms)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hosite import (
     GrothendieckTopology,
     Sieve,
+    ValidationReport,
     all_sieves,
     bracket_sieve,
     check_comparison_lemmas,
@@ -243,6 +244,16 @@ def test_theorem_violation_raised_on_tampered_test(site_b, monkeypatch):
         induced_mod.induced_topology(site_b.homotopy, site_b.topology)
     assert "disagree" in str(err.value)
     assert err.value.counterexample
+
+
+def test_theorem_violation_raised_on_invalid_induced_covers(site_b, monkeypatch):
+    # agreeing covers that fail the topology laws are a theorem violation too
+    monkeypatch.setattr(induced_mod, "validate_topology",
+                        lambda top: ValidationReport(False, "stability", ("y", "{}", "[f1]"), "bad"))
+    with pytest.raises(TheoremViolation) as err:
+        induced_mod.induced_topology(site_b.homotopy, site_b.topology)
+    assert "do not form a topology (stability at ('y', '{}', '[f1]'))" in str(err.value)
+    assert err.value.counterexample == {"validation": "bad"}
 
 
 def test_monotonicity_of_induced(site_b):

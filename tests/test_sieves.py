@@ -213,9 +213,12 @@ def test_all_sieves_agrees_with_subsets(all_sites, random_sites):
 
 def test_saturation_agrees_with_closure(all_sites, random_sites):
     rng = Random(3)
+    # loading trusts saturation to build a topology; the generic validator
+    # checks every saturation built here
     for site in [*all_sites.values(), *random_sites]:
         assert saturate_topology(site.category, site.raw["covers"]) == \
             saturate_by_closure(site.category, site.raw["covers"])
+        assert validate_topology(site.topology)
         for cat in (site.category, site.homotopy.ho):
             for _ in range(4):
                 generating = {}
@@ -224,4 +227,6 @@ def test_saturation_agrees_with_closure(all_sites, random_sites):
                         arrows = cat.arrows_into(x)
                         generating[x] = [rng.sample(arrows, rng.randint(0, len(arrows)))
                                          for _ in range(rng.randint(1, 2))]
-                assert saturate_topology(cat, generating) == saturate_by_closure(cat, generating)
+                top = saturate_topology(cat, generating)
+                assert top == saturate_by_closure(cat, generating)
+                assert validate_topology(top)

@@ -1,6 +1,7 @@
 """One minimal bad input per validator law: the report names the law and the
-witness. Loading a site runs these validators and nothing later re-checks
-it, so they are the only gate on input."""
+witness. Loading a site runs the input validators and nothing later
+re-checks it, so they are the only gate on input; loading trusts
+saturation, and ``validate_topology`` stays its oracle."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -42,6 +43,8 @@ SWAP = {"0": "1", "1": "0"}
 FIXED = {"0": "0", "1": "1"}
 K1 = SetPresheaf(ARROW, ONE, ONE_RESTRICT)
 K2 = SetPresheaf(ARROW, TWO, {"f": FIXED, "id_a": FIXED, "id_b": FIXED})
+EMPTY_A, MAX_A = Sieve("a", frozenset()), Sieve("a", frozenset({"id_a"}))
+EMPTY_B, MAX_B = Sieve("b", frozenset()), Sieve("b", frozenset({"f", "id_b"}))
 
 
 CASES = [
@@ -124,6 +127,18 @@ CASES = [
     ("topology-sieve-invariant", validate_topology,
      (GrothendieckTopology(ARROW, {"b": frozenset({Sieve("b", frozenset({"id_b"}))})}),),
      "sieve-invariant", ("b", "id_b", "f"), "escapes"),
+    # validate_topology: the laws, on sieve sets no saturation produces
+    ("topology-local-character", validate_topology,
+     (GrothendieckTopology(ARROW, {"a": frozenset({EMPTY_A, MAX_A}),
+                                   "b": frozenset({EMPTY_B, MAX_B})}),),
+     "local-character", ("b", "{f}", "{}"), "locally covering"),
+    ("topology-stability", validate_topology,
+     (GrothendieckTopology(ARROW, {"a": frozenset({MAX_A}), "b": frozenset({EMPTY_B, MAX_B})}),),
+     "stability", ("b", "{}", "f"), "not covering a"),
+    ("topology-maximality", validate_topology,
+     (GrothendieckTopology(ARROW, {"a": frozenset({MAX_A}),
+                                   "b": frozenset({Sieve("b", frozenset({"f"}))})}),),
+     "maximality", ("b",), "maximal sieve on b"),
     # validate_enrichment: edge endpoints
     ("enrichment-unknown-endpoint", validate_enrichment,
      (EnrichedCategory(ARROW, (("f", "nope"),)),), "edge-endpoints", ("f", "nope"),
