@@ -1,9 +1,9 @@
 """Site documents: the JSON tree format, loading, and content digests.
 
 A site file lists objects, non-identity morphisms, the composition table for
-composable non-identity pairs (keys are "g∘f" strings), homotopy edges,
-topology generators, and optional named presheaves. Identities are
-synthesized as ``id_<object>`` so counterexamples stay hand-editable.
+composable non-identity pairs (keys are "g∘f" strings, so names hold no "∘"),
+homotopy edges, topology generators, and optional named presheaves. Identities
+are synthesized as ``id_<object>`` so counterexamples stay hand-editable.
 
 ``load_site`` is the one place a site is validated. It checks the document's
 JSON shape and the form of the entries it translates (morphism entries,
@@ -130,6 +130,8 @@ def load_site(doc: dict) -> SiteDocument:
     for m in raw["morphisms"]:
         if set(m) != {"name", "dom", "cod"}:
             raise _err(f"morphism entry needs name/dom/cod: {m!r}")
+        if COMPOSE_SIGN in m["name"]:
+            raise _err(f"morphism name contains '{COMPOSE_SIGN}': {m['name']}")
         arrows.append((m["name"], m["dom"], m["cod"]))
     composition = {}
     for key, h in raw["composition"].items():

@@ -7,14 +7,17 @@ their generic formulas, the end and the coend, against which the package's
 closed forms are checked up to isomorphism. The sieve lattice, saturation
 and the tau-iso test are computed here by subset enumeration, closure
 rules over the whole lattice and double sheafification, against which the
-package's least-cover forms are checked for equality. The sheaf condition is
-decided here by comparing the string keys of the canonical families with
-those of every matching family, against which the package's tuple-and-count
-test is checked. Associativity of a partial composition table is decided
-here by a rescan of every triple, against which the random-site generator's
-per-slot check is checked at every node of its search. The connected
-components of the homotopy edges are computed here, against which the
-fibres of gamma are checked.
+package's least-cover forms are checked for equality. A sieve on the
+homotopy category covers here when the gamma-pullback of its inclusion is
+a tau-local isomorphism, against which the package's closed form (the
+sieve holds the bracket of the base least cover) is checked. The sheaf
+condition is decided here by comparing the string keys of the canonical
+families with those of every matching family, against which the package's
+tuple-and-count test is checked. Associativity of a partial composition
+table is decided here by a rescan of every triple, against which the
+random-site generator's per-slot check is checked at every node of its
+search. The connected components of the homotopy edges are computed here,
+against which the fibres of gamma are checked.
 """
 from __future__ import annotations
 
@@ -30,12 +33,15 @@ from hosite import (
     classify_presheaf,
     componentwise_bijection,
     gamma_star,
+    gamma_star_morphism,
     generate_sieve,
     hom_presheaves,
+    is_tau_iso,
     maximal_sieve,
     minimal_cover,
     pullback_sieve,
     sheafify_morphism,
+    sieve_inclusion,
     yoneda,
 )
 from hosite.homotopy import HomotopyCategoryData
@@ -269,6 +275,13 @@ def is_tau_iso_by_sheafification(m: PresheafMorphism, top) -> TauIsoResult:
     sheafified = sheafify_morphism(m, top)
     ok, witness = componentwise_bijection(sheafified)
     return TauIsoResult(ok, witness)
+
+
+def is_bracket_cover_by_iso(h: HomotopyCategoryData, top: GrothendieckTopology,
+                            u: Sieve) -> bool:
+    """True iff the inclusion of u into the representable on its root, pulled
+    back along gamma, is a local isomorphism for the base topology."""
+    return bool(is_tau_iso(gamma_star_morphism(h, sieve_inclusion(h.ho, u)), top))
 
 
 def sheaf_condition_by_families(pre: SetPresheaf, top: GrothendieckTopology):

@@ -13,11 +13,14 @@ import pytest
 from hosite import (
     GrothendieckTopology,
     all_sieves,
+    bracket_sieve,
     classify_presheaf,
     fixture_doc,
     generate_sieve,
     induced_topology,
+    is_bracket_cover,
     maximal_sieve,
+    minimal_cover,
     plus_construction,
     random_site,
     run_population,
@@ -29,7 +32,7 @@ from hosite import (
 from hosite.cli import main as cli_main
 from hosite.enumeration import enumerate_presheaves
 import hosite.induced as induced_mod
-from oracles import matching_families_product
+from oracles import is_bracket_cover_by_iso, matching_families_product
 
 POPULATION_SIZE = 200
 BOUND_SECONDS = 60.0
@@ -88,13 +91,30 @@ def test_criterion_1_example_reproduction(site_b):
                 f"{elapsed:.2f}s < 5s")
 
 
-def test_criterion_2_identification(population):
+def test_criterion_2_identification(population, all_sites):
     total, failures = population.aggregate("identification")
-    ok = (total == POPULATION_SIZE + 5 and not failures
+    # the suite identifies by the closed form; on every quotient sieve of the
+    # population it must agree with the local-isomorphism oracle, and the
+    # least induced cover must be the bracket of the base least cover
+    sieves, mismatches = 0, []
+    sites = [*all_sites.values(), *(random_site(seed) for seed in range(POPULATION_SIZE))]
+    for site in sites:
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top)
+        for x in h.ho.objects:
+            if minimal_cover(induced, x) != bracket_sieve(h, minimal_cover(top, x)):
+                mismatches.append((site.digest, x, "least cover"))
+            for u in all_sieves(h.ho, x):
+                sieves += 1
+                if is_bracket_cover(h, top, u) != is_bracket_cover_by_iso(h, top, u):
+                    mismatches.append((site.digest, x, sorted(u.members)))
+    ok = (total == POPULATION_SIZE + 5 and not failures and not mismatches
           and population.wall_seconds < BOUND_SECONDS)
     report_line(2, ok,
-                f"bracket covers == iso-test covers on {total} sites "
-                f"(population wall {population.wall_seconds:.1f}s < {BOUND_SECONDS:.0f}s)")
+                f"bracket covers == iso-test covers on {total} sites, "
+                f"closed-form test == local-iso oracle on {sieves} quotient sieves "
+                f"(population wall {population.wall_seconds:.1f}s < {BOUND_SECONDS:.0f}s)"
+                + (f"; first mismatch {mismatches[0]}" if mismatches else ""))
 
 
 def test_criterion_3_iso_comparison(population):

@@ -333,10 +333,11 @@ def test_repeated_key_is_load_error(tmp_path, text, key):
     (("presheaves", "K2", "values", "nope"), ["0"], "nope"),
     (("presheaves", "K2", "restrictions", "nope"), {"0": "0"}, "nope"),
     (("presheaves", "K2", "values", "y"), ["0", "1", "1"], "1"),
+    (("morphisms", 0, "name"), "g∘h", "morphism name contains '∘': g∘h"),
 ], ids=["duplicate-object", "unknown-dom", "composition-unknown-name",
         "composition-identity-key", "edge-unknown-endpoint", "covers-unknown-object",
         "cover-unknown-generator", "presheaf-unknown-object", "presheaf-unknown-morphism",
-        "presheaf-repeated-section"])
+        "presheaf-repeated-section", "morphism-name-with-compose-sign"])
 def test_malformed_site_names_the_offending_id(path, value, named):
     # each law is checked by its validator; the load error still names the culprit
     doc = json.loads(serialize_site(fixture_doc("B")))

@@ -59,6 +59,8 @@ def test_is_bracket_cover_examples(site_b):
     assert is_bracket_cover(h, top, Sieve("y", frozenset(["[f1]"])))
     assert not is_bracket_cover(h, top, Sieve("y", frozenset()))
     assert is_bracket_cover(h, top, maximal_sieve(h.ho, "y"))
+    with pytest.raises(ValueError, match="^unknown object id: nope$"):
+        is_bracket_cover(h, top, Sieve("nope", frozenset()))
 
 
 def test_induced_topology_fixture_b(site_b):

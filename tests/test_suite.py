@@ -173,6 +173,21 @@ def _transport_to_first_section():
         for o in source.sheaf.cat.objects})
 
 
+def _locally_injective(m, top):
+    """is_tau_iso without its local-surjectivity test."""
+    from hosite import TauIsoResult
+    src = m.source
+    for x in src.cat.objects:
+        fibres: dict[str, list[str]] = {}
+        for s in src.value[x]:
+            fibres.setdefault(m.components[x][s], []).append(s)
+        if any(src.restrict[f][s] != src.restrict[f][same[0]]
+               for same in fibres.values() for s in same[1:]
+               for f in top._cover_plan[x].members):
+            return TauIsoResult(False, x)
+    return TauIsoResult(True)
+
+
 _FAILURES = [
     # (target check, module, name, replacement factory, expected detail prefix)
     ("cover-reflecting", suite, "induced_topology",
@@ -203,6 +218,8 @@ _FAILURES = [
      _transport_to_first_section, "product comparison"),
     ("sheafification-engine", suite, "equalizer_presheaf",
      _equalizer_with_wrong_target, "equalizer comparison"),
+    ("iso-comparison", induced, "is_tau_iso",
+     lambda: _locally_injective, "induced-iso True but base-iso False"),
 ]
 
 # f1 ~ f2 : x -> y with f1∘g = f2∘g = p for g : w -> x, and f1 generating
