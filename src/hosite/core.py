@@ -7,7 +7,6 @@ set-valued outputs are emitted sorted by id so every report is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .util import backtrack
@@ -305,33 +304,35 @@ def componentwise_bijection(m: PresheafMorphism):
 
 def iter_hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> Iterator[PresheafMorphism]:
     """The natural transformations u -> f, built one at a time: one
-    ``backtrack`` over the objects in declaration order (components in
-    ``product`` order), checking naturality as soon as both endpoints of a
-    morphism are assigned; agrees with the plain product-filter enumeration."""
+    ``backtrack`` over the sections (o, s) of u, objects in declaration order,
+    slot (o, s) taking the values of f(o) in order, and each naturality square
+    checked at the later of its two slots. That is the lexicographic order of
+    per-object ``product`` tables, so truncations keep the same prefix; agrees
+    with the plain product-filter enumeration."""
     if u.cat != f.cat:
         raise ValueError("presheaves live over different categories")
     cat = u.cat
-    objs = cat.objects
-    oidx = {o: i for i, o in enumerate(objs)}
-    checks: list[list[tuple]] = [[] for _ in objs]
+    slots = [(o, s) for o in cat.objects for s in u.value[o]]
+    sidx = {slot: i for i, slot in enumerate(slots)}
+    checks: list[list[tuple]] = [[] for _ in slots]
     for m in cat.morphisms:
         if not cat.is_identity(m):
-            v, x = cat.dom[m], cat.cod[m]
-            checks[max(oidx[v], oidx[x])].append((v, x, u.restrict[m], f.restrict[m], u.value[x]))
-    comps: dict[str, dict[str, str]] = {}
-    components = [[dict(zip(u.value[o], c)) for c in product(f.value[o], repeat=len(u.value[o]))]
-                  for o in objs]
+            v, x, ru, rf = cat.dom[m], cat.cod[m], u.restrict[m], f.restrict[m]
+            for s in u.value[x]:
+                a, b = sidx[(v, ru[s])], sidx[(x, s)]
+                checks[max(a, b)].append((a, rf, b))
+    values = [f.value[o] for o, _ in slots]
+    cur: dict[int, str] = {}
 
     def ok(i: int) -> bool:
-        for v, x, ru, rf, sections in checks[i]:
-            cv, cx = comps[v], comps[x]
-            for s in sections:
-                if cv[ru[s]] != rf[cx[s]]:
-                    return False
+        for a, rf, b in checks[i]:
+            if cur[a] != rf[cur[b]]:
+                return False
         return True
 
-    for found in backtrack(objs, components.__getitem__, ok, comps):
-        yield PresheafMorphism(u, f, {o: dict(c) for o, c in found.items()})
+    for found in backtrack(range(len(slots)), values.__getitem__, ok, cur):
+        yield PresheafMorphism(u, f, {o: {s: found[sidx[o, s]] for s in u.value[o]}
+                                      for o in cat.objects})
 
 
 def hom_presheaves(u: SetPresheaf, f: SetPresheaf) -> tuple[PresheafMorphism, ...]:

@@ -8,6 +8,7 @@ Each leaf is a ``SetPresheaf`` view over the walk's own tables, one per size
 vector, valid until the next item; the walk replaces tables and never edits
 one. Callers classify the view with the ordinary presheaf API;
 ``reservoir`` copies only the items its sample keeps, and copies share tables.
+Its draws are ``randint``'s own ``getrandbits`` arithmetic, inlined per item.
 """
 from __future__ import annotations
 
@@ -98,12 +99,17 @@ def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPres
 def reservoir(walk: Iterable[tuple], k: int, rng: Random, sample: list) -> Iterator[tuple]:
     """Yield every walk item; once they are exhausted, ``sample`` holds
     copies of k of them, drawn uniformly: item i >= k takes slot
-    ``rng.randint(0, i)`` if below k, and only the items taken are copied."""
+    ``rng.randint(0, i)`` if below k, and only the items taken are copied.
+    That draw is inlined as CPython computes it (``getrandbits`` of n = i + 1's
+    bit length, redrawn while >= n): the same stream, three frames fewer."""
+    getrandbits = rng.getrandbits
     for i, item in enumerate(walk):
         if i < k:
             sample.append(_build(item))
         else:
-            j = rng.randint(0, i)
+            j = n = i + 1
+            while j >= n:
+                j = getrandbits(n.bit_length())
             if j < k:
                 sample[j] = _build(item)
         yield item

@@ -73,7 +73,8 @@ def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> Grot
     TheoremViolation."""
     ho = h.ho
     via_bracket = {
-        x: frozenset(bracket_sieve(h, j) for j in top.covers.get(x, frozenset()))
+        x: frozenset(generate_sieve(ho, x, sorted(image)) for image in {
+            frozenset(h.gamma[f] for f in j.members) for j in top.covers.get(x, frozenset())})
         for x in ho.objects
     }
     via_iso = {

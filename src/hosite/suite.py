@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice, pairwise, repeat
+from operator import itemgetter
 from random import Random
 
 from .core import (
@@ -110,7 +111,7 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
     sample: list[SetPresheaf] = []
     walk = reservoir(walk_presheaves(site.category, bound, top), ENGINE_SAMPLES,
                      Random(seed + 1), sample)
-    out.append(check_sheaf_transfer(h, induced, (pre for pre, sheaf in walk if sheaf)))
+    out.append(check_sheaf_transfer(h, induced, map(itemgetter(0), filter(itemgetter(1), walk))))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

@@ -17,7 +17,11 @@ tuple-and-count test is checked. Associativity of a partial composition
 table is decided here by a rescan of every triple, against which the
 random-site generator's per-slot check is checked at every node of its
 search. The connected components of the homotopy edges are computed here,
-against which the fibres of gamma are checked.
+against which the fibres of gamma are checked. Two searches keep their old
+shape here as order oracles: the hom search branching per object over whole
+component tables, against which the per-section search is checked for the
+same sequence, and the reservoir drawing by ``rng.randint``, against which
+the inlined draw is checked for the same samples and the same rng state.
 """
 from __future__ import annotations
 
@@ -44,10 +48,11 @@ from hosite import (
     sieve_inclusion,
     yoneda,
 )
+from hosite.enumeration import _build
 from hosite.homotopy import HomotopyCategoryData
 from hosite.sheafify import _family_dicts, canonical_family, family_key
 from hosite.sieves import sieve_plan
-from hosite.util import UnionFind
+from hosite.util import UnionFind, backtrack
 
 
 def hom_product_filter(u, f):
@@ -75,6 +80,46 @@ def hom_product_filter(u, f):
         if natural:
             found.append(PresheafMorphism(u, f, comps))
     return found
+
+
+def iter_hom_by_object(u, f):
+    """The natural transformations u -> f by one ``backtrack`` over the
+    objects in declaration order, each taking whole component tables in
+    ``product`` order, naturality checked once both endpoints are set."""
+    cat = u.cat
+    objs = cat.objects
+    oidx = {o: i for i, o in enumerate(objs)}
+    checks: list[list[tuple]] = [[] for _ in objs]
+    for m in cat.morphisms:
+        if not cat.is_identity(m):
+            v, x = cat.dom[m], cat.cod[m]
+            checks[max(oidx[v], oidx[x])].append((v, x, u.restrict[m], f.restrict[m], u.value[x]))
+    comps: dict[str, dict[str, str]] = {}
+    components = [[dict(zip(u.value[o], c)) for c in product(f.value[o], repeat=len(u.value[o]))]
+                  for o in objs]
+
+    def ok(i: int) -> bool:
+        for v, x, ru, rf, sections in checks[i]:
+            cv, cx = comps[v], comps[x]
+            for s in sections:
+                if cv[ru[s]] != rf[cx[s]]:
+                    return False
+        return True
+
+    for found in backtrack(objs, components.__getitem__, ok, comps):
+        yield PresheafMorphism(u, f, {o: dict(c) for o, c in found.items()})
+
+
+def reservoir_by_randint(walk, k, rng, sample):
+    """The reservoir with its draw as the call ``rng.randint(0, i)``."""
+    for i, item in enumerate(walk):
+        if i < k:
+            sample.append(_build(item))
+        else:
+            j = rng.randint(0, i)
+            if j < k:
+                sample[j] = _build(item)
+        yield item
 
 
 def matching_families_product(pre, sieve):

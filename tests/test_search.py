@@ -7,12 +7,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import product
+from random import Random
 
 import pytest
 
-from hosite import constant_presheaf, hom_presheaves, matching_families, yoneda
-from hosite.enumeration import enumerate_presheaves
+import hosite.core as core
+from hosite import constant_presheaf, hom_presheaves, matching_families, run_site_suite, yoneda
+from hosite.enumeration import enumerate_presheaves, reservoir, sample_presheaves, walk_presheaves
 from hosite.util import backtrack
+from oracles import iter_hom_by_object, reservoir_by_randint
 
 
 def _digest(lines) -> str:
@@ -24,16 +28,19 @@ def presheaf_sequence(presheaves):
         yield json.dumps([pre.value, pre.restrict], sort_keys=True)
 
 
-def hom_sequence(site):
+def hom_pairs(site):
     # the pairs of test_core.test_hom_agrees_with_product_oracle
     cat = site.category
     pres = list(site.presheaves.values()) + [constant_presheaf(cat, ["0"])]
     pres += [yoneda(cat, x) for x in cat.objects]
-    for u in pres:
-        for f in pres:
-            for m in hom_presheaves(u, f):
-                yield json.dumps(m.components, sort_keys=True)
-            yield "--"
+    return list(product(pres, repeat=2))
+
+
+def hom_sequence(pairs, hom=hom_presheaves):
+    for u, f in pairs:
+        for m in hom(u, f):
+            yield json.dumps(m.components, sort_keys=True)
+        yield "--"
 
 
 def family_sequence(site):
@@ -87,7 +94,68 @@ def test_presheaf_order_frozen(all_sites, name, bound):
 
 @pytest.mark.parametrize("name", sorted(HOM_DIGESTS))
 def test_hom_order_frozen(all_sites, name):
-    assert _digest(hom_sequence(all_sites[name])) == HOM_DIGESTS[name]
+    assert _digest(hom_sequence(hom_pairs(all_sites[name]))) == HOM_DIGESTS[name]
+
+
+def _one_empty_value(cat, o):
+    """The first presheaf at bound 2 whose value is empty at o and only there
+    (None where an arrow out of o forces another empty value)."""
+    return next((pre for pre in enumerate_presheaves(cat, 2)
+                 if all(bool(pre.value[x]) == (x != o) for x in cat.objects)), None)
+
+
+def test_hom_order_matches_per_object_search(all_sites, random_sites):
+    # per-section branching must give the per-object tables' sequence, not
+    # only their set: the engine keeps the first two, group (a) the first 12
+    pairs = [pair for name in sorted(all_sites) for pair in hom_pairs(all_sites[name])]
+    for name in "BC":
+        for seed in range(3):
+            pres = sample_presheaves(all_sites[name].category, 4, 6, Random(seed))
+            pairs += product(pres, repeat=2)
+    for seed, site in enumerate(random_sites):
+        pairs += product(sample_presheaves(site.category, 2, 4, Random(seed)), repeat=2)
+    empties = 0
+    for site in all_sites.values():
+        cat = site.category
+        full = constant_presheaf(cat, ["0", "1"])
+        for empty in filter(None, (_one_empty_value(cat, o) for o in cat.objects)):
+            pairs += [(empty, full), (full, empty), (empty, empty)]
+            empties += 1
+    assert empties >= len(all_sites)
+    assert list(hom_sequence(pairs)) == list(hom_sequence(pairs, iter_hom_by_object))
+
+
+def test_hom_values_tried_frozen(site_b, monkeypatch):
+    # values offered to the hom search's slots over one wide-value suite;
+    # the per-object search tried 70,579 whole component tables here
+    tried = 0
+
+    def counting(keys, choices, ok, cur):
+        def counted(i):
+            nonlocal tried
+            tried += 1
+            return ok(i)
+        return backtrack(keys, choices, counted, cur)
+
+    monkeypatch.setattr(core, "backtrack", counting)
+    run_site_suite(site_b, bound=4, seed=0)
+    assert tried == 2185
+
+
+def test_reservoir_draws_as_randint(site_b):
+    # B at bound 4 has 77,633 leaves, so i reaches every bit length up to 17;
+    # the reservoirs are stacked on one walk, each copying at its own draws
+    walk = walk_presheaves(site_b.category, 4)
+    runs = []
+    for k in (1, 3, 10):
+        for seed in range(3):
+            run = (Random(seed), [], Random(seed), [])
+            walk = reservoir(reservoir_by_randint(walk, k, run[2], run[3]), k, run[0], run[1])
+            runs.append(run)
+    assert sum(1 for _ in walk) == 77_633
+    for rng, sample, oracle_rng, oracle_sample in runs:
+        assert list(presheaf_sequence(sample)) == list(presheaf_sequence(oracle_sample))
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
