@@ -1,10 +1,11 @@
 """The induced topology on the homotopy category and the comparison suite.
 
-The induced covers are computed two ways and compared: as brackets of the base
-covers, and by the closed-form covering test over each sieve lattice (a sieve
-covers iff it holds the bracket of the base least cover). The generic test,
+The induced topology [τ] is stored as its least covers, the brackets of τ's,
+and its cover sets are compared with the brackets of every base cover. The
+closed-form covering test (a quotient sieve covers iff it holds the bracket
+of the base least cover) is lemma group (a)'s base side; the generic test,
 whether the gamma-pullback of the sieve inclusion is a local isomorphism, is
-their oracle under ``tests/``. Agreement is a theorem, so a disagreement fails
+its oracle under ``tests/``. Agreement is a theorem, so a disagreement fails
 loudly with a replayable counterexample. The sheaf-side checks walk the
 presheaves once per category and classify the walk's own views with
 ``classify_presheaf``: P and ``gamma_star`` of P for the lemma groups,
@@ -62,35 +63,31 @@ def is_bracket_cover(h: HomotopyCategoryData, top: GrothendieckTopology, u: Siev
     """Covering test for a sieve u on x in the quotient: u covers iff gamma(J(x)) ⊆ u,
     J the base least cover. The gamma-pullback of u's inclusion is mono, and locally onto
     iff t∘gamma(f) ∈ u for t: z -> x, f ∈ J(z), which stability puts in gamma(J(x))."""
-    if u.root not in top._cover_plan:
+    if u.root not in top.least:
         raise ValueError(f"unknown object id: {u.root}")
-    return all(h.gamma[f] in u.members for f in top._cover_plan[u.root].members)
+    return all(h.gamma[f] in u.members for f in top.least[u.root].members)
 
 
 def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> GrothendieckTopology:
-    """Compute the induced covers both ways and insist they agree: a
-    disagreement, or covers that fail the topology axioms, raise
-    TheoremViolation."""
+    """[τ], whose least cover of x is the bracket of τ's. Its covers must be
+    exactly the brackets of τ's covers and must satisfy the topology laws;
+    a disagreement, or a failed law, raises TheoremViolation."""
     ho = h.ho
+    induced = GrothendieckTopology(ho, {x: bracket_sieve(h, top.least[x]) for x in ho.objects})
     via_bracket = {
         x: frozenset(generate_sieve(ho, x, sorted(image)) for image in {
-            frozenset(h.gamma[f] for f in j.members) for j in top.covers.get(x, frozenset())})
+            frozenset(h.gamma[f] for f in j.members) for j in top.covers[x]})
         for x in ho.objects
     }
-    via_iso = {
-        x: frozenset(u for u in all_sieves(ho, x) if is_bracket_cover(h, top, u))
-        for x in ho.objects
-    }
-    if via_bracket != via_iso:
+    if via_bracket != induced.covers:
         diff = {}
         for x in ho.objects:
-            only_bracket = sorted(format_sieve(ho, s) for s in via_bracket[x] - via_iso[x])
-            only_iso = sorted(format_sieve(ho, s) for s in via_iso[x] - via_bracket[x])
+            only_bracket = sorted(format_sieve(ho, s) for s in via_bracket[x] - induced.covers[x])
+            only_iso = sorted(format_sieve(ho, s) for s in induced.covers[x] - via_bracket[x])
             if only_bracket or only_iso:
                 diff[x] = {"only_bracket": only_bracket, "only_iso_test": only_iso}
         raise TheoremViolation(
             "bracket covers and isomorphism-test covers disagree", {"disagreement": diff})
-    induced = GrothendieckTopology(ho, via_iso)
     report = validate_topology(induced)
     if not report:
         raise TheoremViolation(
@@ -107,7 +104,7 @@ def check_cover_reflecting(h: HomotopyCategoryData, top: GrothendieckTopology,
         for u in induced.covers_of(x):
             checked += 1
             pre = _preimage(h, u)
-            if pre not in top.covers.get(x, frozenset()):
+            if not top.is_cover(pre):
                 return CheckResult(
                     "cover-reflecting", "fail",
                     f"preimage of {format_sieve(h.ho, u)} on {x} is not covering",
@@ -226,7 +223,7 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
                 problems.append("thickening is not idempotent")
             if bracket_sieve(h, jd) != bracket_sieve(h, j):
                 problems.append("thickening changed the bracket")
-            if jd not in top.covers.get(x, frozenset()):
+            if not top.is_cover(jd):
                 problems.append("thickened sieve is not covering")
             if problems and d_fail is None:
                 d_fail = CheckResult(

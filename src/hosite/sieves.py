@@ -1,12 +1,11 @@
 """Sieves and Grothendieck topologies on finite categories.
 
 Sieves are stored as explicit member sets (generators are forgotten after
-generation) and topologies store every covering sieve, including the upward
-closure: comparison checks need exact cover-set equality. A topology on a
-finite category is fixed by its least covers, one per object: the covers of
-x are the sieves containing it. Each topology computes them once, in its
-cover plan, and every reader takes them from there. A sieve lattice of more
-than ``MAX_SIEVES`` (2^16) sieves on one object is refused, naming the object.
+generation). A topology on a finite category is fixed by one least cover
+J(x) per object, and stores only those: the covers of x, the sieves
+containing J(x), are derived once, and the laws are checked in closed form
+on J. A sieve lattice of more than ``MAX_SIEVES`` (2^16) sieves on one
+object is refused, naming the object.
 """
 from __future__ import annotations
 
@@ -72,7 +71,9 @@ def generate_sieve(cat: FiniteCategory, x: str, generators) -> Sieve:
         raise ValueError(f"unknown object id: {x}")
     members = set()
     for f in generators:
-        if cat.cod.get(f) != x:
+        if f not in cat.cod:
+            raise ValueError(f"unknown morphism: {f}")
+        if cat.cod[f] != x:
             raise ValueError(f"generator {f} does not have codomain {x}")
         for g in cat.arrows_into(cat.dom[f]):
             members.add(cat.compose(f, g))
@@ -137,15 +138,25 @@ def sieve_inclusion(cat: FiniteCategory, s: Sieve) -> PresheafMorphism:
 
 @dataclass(frozen=True)
 class GrothendieckTopology:
+    """A topology stored as its least covers: those of x contain ``least[x]``."""
+
     base: FiniteCategory
-    covers: dict[str, frozenset[Sieve]]
+    least: dict[str, Sieve]
+
+    def is_cover(self, s: Sieve) -> bool:
+        return self.least[s.root].members <= s.members
+
+    @cached_property
+    def covers(self) -> dict[str, frozenset[Sieve]]:
+        return {x: frozenset(filter(self.is_cover, all_sieves(self.base, x)))
+                for x in self.base.objects}
 
     def covers_of(self, x: str) -> tuple[Sieve, ...]:
         return tuple(sorted(self.covers.get(x, frozenset()), key=Sieve.sort_key))
 
     @cached_property
     def _cover_plan(self) -> dict[str, SievePlan]:
-        return {x: sieve_plan(self.base, minimal_cover(self, x)) for x in self.base.objects}
+        return {x: sieve_plan(self.base, self.least[x]) for x in self.base.objects}
 
     @cached_property
     def _sheaf_plans(self) -> tuple[SievePlan, ...]:
@@ -157,44 +168,40 @@ class GrothendieckTopology:
 
 
 def trivial_topology(cat: FiniteCategory) -> GrothendieckTopology:
-    return GrothendieckTopology(cat, {o: frozenset([maximal_sieve(cat, o)]) for o in cat.objects})
+    return GrothendieckTopology(cat, {o: maximal_sieve(cat, o) for o in cat.objects})
 
 
 def validate_topology(top: GrothendieckTopology) -> ValidationReport:
-    """Check maximality, base-change stability, and local character, trying
-    only non-maximal covers: a maximal one pulls t back along id_x to t."""
+    """The laws in closed form for the upsets of one sieve J(x) per object:
+    maximality holds once each object has one, stability is J(y) ⊆ h*J(x)
+    for h: y -> x, and local character {f∘g : f in J(x), g in J(dom f)} = J(x)."""
     cat = top.base
-    if not set(top.covers) <= set(cat.objects):
+    least = top.least
+    if not set(least) <= set(cat.objects):
         return _fail("structure", (), "covers filed under an unknown object")
+    for x in filter(least.__contains__, cat.objects):
+        s = least[x]
+        if s.root != x:
+            return _fail("structure", (x,), f"sieve rooted at {s.root} filed under {x}")
+        rep = validate_sieve(cat, s)
+        if not rep:
+            return _fail("sieve-invariant", (x,) + rep.witness, rep.detail)
     for x in cat.objects:
-        for s in top.covers_of(x):
-            if s.root != x:
-                return _fail("structure", (x,), f"sieve rooted at {s.root} filed under {x}")
-            rep = validate_sieve(cat, s)
-            if not rep:
-                return _fail("sieve-invariant", (x,) + rep.witness, rep.detail)
-    for x in cat.objects:
-        if maximal_sieve(cat, x) not in top.covers.get(x, frozenset()):
+        if x not in least:
             return _fail("maximality", (x,), f"the maximal sieve on {x} is not covering")
     for x in cat.objects:
-        for s in top.covers_of(x):
-            for h in cat.arrows_into(x):
-                p = pullback_sieve(cat, h, s)
-                if p not in top.covers.get(cat.dom[h], frozenset()):
-                    return _fail(
-                        "stability", (x, format_sieve(cat, s), h),
-                        f"pullback of a cover on {x} along {h} is not covering {cat.dom[h]}")
+        for h in cat.arrows_into(x):
+            if not least[cat.dom[h]].members <= pullback_sieve(cat, h, least[x]).members:
+                return _fail("stability", (x, format_sieve(cat, least[x]), h),
+                             f"pullback of a cover on {x} along {h} is not covering {cat.dom[h]}")
     for x in cat.objects:
-        witnesses = [s for s in top.covers_of(x) if len(s.members) < len(cat.arrows_into(x))]
-        for t in all_sieves(cat, x):
-            if t in top.covers.get(x, frozenset()):
-                continue
-            for s in witnesses:
-                if all(pullback_sieve(cat, f, t) in top.covers.get(cat.dom[f], frozenset())
-                       for f in sorted(s.members)):
-                    return _fail(
-                        "local-character", (x, format_sieve(cat, t), format_sieve(cat, s)),
-                        f"sieve {format_sieve(cat, t)} on {x} is locally covering over {format_sieve(cat, s)} but not listed")
+        j = least[x]
+        local = Sieve(x, frozenset(cat.compose(f, g)
+                                   for f in j.members for g in least[cat.dom[f]].members))
+        if local != j:
+            t, s = format_sieve(cat, local), format_sieve(cat, j)
+            return _fail("local-character", (x, t, s),
+                         f"sieve {t} on {x} is locally covering over {s} but not listed")
     return PASS
 
 
@@ -205,8 +212,7 @@ def saturate_topology(cat: FiniteCategory, generating) -> GrothendieckTopology:
     name lists). The least cover J(x) starts at the intersection of the
     generated sieves (the maximal sieve if there are none) and shrinks to a
     fixpoint of stability, J(y) ∩= h*J(x) for h: y -> x, and local
-    character, J(x) = {f∘g : f in J(x), g in J(dom f)}. The covers of x are
-    then the sieves containing J(x).
+    character, J(x) = {f∘g : f in J(x), g in J(dom f)}.
     """
     objset = set(cat.objects)
     for x in generating:
@@ -230,19 +236,11 @@ def saturate_topology(cat: FiniteCategory, generating) -> GrothendieckTopology:
             if local != least[x]:
                 least[x] = local
                 changed = True
-    return GrothendieckTopology(cat, {
-        o: frozenset(s for s in all_sieves(cat, o) if least[o] <= s.members)
-        for o in cat.objects
-    })
+    return GrothendieckTopology(cat, {o: Sieve(o, least[o]) for o in cat.objects})
 
 
 def minimal_cover(top: GrothendieckTopology, x: str) -> Sieve:
-    """The least cover of x: the intersection of its covers, itself a cover
-    in a valid topology. ``top._cover_plan`` holds one per object."""
-    sieves = top.covers.get(x)
-    if not sieves:
+    """The least cover of x."""
+    if x not in top.least:
         raise ValueError(f"no covering sieves on {x}")
-    smin = Sieve(x, frozenset.intersection(*(s.members for s in sieves)))
-    if smin not in sieves:
-        raise ValueError(f"covers of {x} are not closed under intersection; topology invalid")
-    return smin
+    return top.least[x]

@@ -9,10 +9,10 @@ are synthesized as ``id_<object>`` so counterexamples stay hand-editable.
 JSON shape and the form of the entries it translates (morphism entries,
 "g∘f" keys, two-endpoint edges); every input law is then checked once, by the
 validator that owns it: the category laws, the enrichment (through the one
-``homotopy_category`` call), the covers (by ``saturate_topology``) and every
-presheaf. The saturated topology is a topology by construction; the test
-suite checks it with ``validate_topology``. Any failure is a
-``SiteLoadError``, so every loaded ``SiteDocument`` has passed them all.
+``homotopy_category`` call), the covers (by ``saturate_topology``, a
+topology by construction; its cover sets are listed here, so the lattice cap
+is a load error) and every presheaf. Any failure is a ``SiteLoadError``, so
+every loaded ``SiteDocument`` has passed them all.
 """
 from __future__ import annotations
 
@@ -149,6 +149,7 @@ def load_site(doc: dict) -> SiteDocument:
         enriched = EnrichedCategory(category, tuple((a, b) for a, b in raw["edges"]))
         homotopy = homotopy_category(enriched)
         topology = saturate_topology(category, raw["covers"])
+        topology.covers  # lists each base sieve lattice here, where its cap is a load error
     except ValueError as exc:
         raise _err(str(exc)) from None
 

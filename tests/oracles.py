@@ -7,10 +7,13 @@ their generic formulas, the end and the coend, against which the package's
 closed forms are checked up to isomorphism. The sieve lattice, saturation
 and the tau-iso test are computed here by subset enumeration, closure
 rules over the whole lattice and double sheafification, against which the
-package's least-cover forms are checked for equality. A sieve on the
-homotopy category covers here when the gamma-pullback of its inclusion is
-a tau-local isomorphism, against which the package's closed form (the
-sieve holds the bracket of the base least cover) is checked. The sheaf
+package's least-cover forms are checked for equality. The topology laws are
+checked here on explicit cover sets, scanning every sieve lattice, against
+which the package's closed-form check on least covers is checked for the
+same verdict; the least cover of a cover set is its intersection here. A
+sieve on the homotopy category covers here when the gamma-pullback of its
+inclusion is a tau-local isomorphism, against which the package's closed
+form (the sieve holds the bracket of the base least cover) is checked. The sheaf
 condition is decided here by comparing the string keys of the canonical
 families with those of every matching family, against which the package's
 tuple-and-count test is checked. Associativity of a partial composition
@@ -34,8 +37,10 @@ from hosite import (
     SetPresheaf,
     Sieve,
     TauIsoResult,
+    ValidationReport,
     classify_presheaf,
     componentwise_bijection,
+    format_sieve,
     gamma_star,
     gamma_star_morphism,
     generate_sieve,
@@ -46,8 +51,10 @@ from hosite import (
     pullback_sieve,
     sheafify_morphism,
     sieve_inclusion,
+    validate_sieve,
     yoneda,
 )
+from hosite.core import PASS, _fail
 from hosite.enumeration import _build
 from hosite.homotopy import HomotopyCategoryData
 from hosite.sheafify import _family_dicts, canonical_family, family_key
@@ -273,13 +280,13 @@ def all_sieves_by_subsets(cat, x: str) -> tuple[Sieve, ...]:
     return tuple(out)
 
 
-def saturate_by_closure(cat, generating) -> GrothendieckTopology:
+def saturate_by_closure(cat, generating) -> dict[str, frozenset[Sieve]]:
     """Smallest topology whose covers include the sieves generated per object.
 
     ``generating`` maps object -> iterable of generator families (morphism
     name lists). Runs the closure rules (maximal sieves, base-change
     stability, local character) round-robin to a fixpoint; the sieve lattice
-    is finite, so this terminates.
+    is finite, so this terminates. Returns the cover sets per object.
     """
     objset = set(cat.objects)
     for x in generating:
@@ -311,7 +318,64 @@ def saturate_by_closure(cat, generating) -> GrothendieckTopology:
                         covers[x].add(t)
                         changed = True
                         break
-    return GrothendieckTopology(cat, {o: frozenset(v) for o, v in covers.items()})
+    return {o: frozenset(v) for o, v in covers.items()}
+
+
+def validate_cover_sets(cat, covers) -> ValidationReport:
+    """The topology laws on explicit cover sets, ``covers`` mapping object ->
+    set of sieves: maximality, base-change stability, and local character
+    scanned over the whole sieve lattice, trying only non-maximal covers as
+    witnesses (a maximal one pulls t back along id_x to t)."""
+    def covers_of(x):
+        return sorted(covers.get(x, frozenset()), key=Sieve.sort_key)
+
+    if not set(covers) <= set(cat.objects):
+        return _fail("structure", (), "covers filed under an unknown object")
+    for x in cat.objects:
+        for s in covers_of(x):
+            if s.root != x:
+                return _fail("structure", (x,), f"sieve rooted at {s.root} filed under {x}")
+            rep = validate_sieve(cat, s)
+            if not rep:
+                return _fail("sieve-invariant", (x,) + rep.witness, rep.detail)
+    for x in cat.objects:
+        if maximal_sieve(cat, x) not in covers.get(x, frozenset()):
+            return _fail("maximality", (x,), f"the maximal sieve on {x} is not covering")
+    for x in cat.objects:
+        for s in covers_of(x):
+            for h in cat.arrows_into(x):
+                if pullback_sieve(cat, h, s) not in covers.get(cat.dom[h], frozenset()):
+                    return _fail(
+                        "stability", (x, format_sieve(cat, s), h),
+                        f"pullback of a cover on {x} along {h} is not covering {cat.dom[h]}")
+    for x in cat.objects:
+        witnesses = [s for s in covers_of(x) if len(s.members) < len(cat.arrows_into(x))]
+        for t in all_sieves_by_subsets(cat, x):
+            if t in covers.get(x, frozenset()):
+                continue
+            for s in witnesses:
+                if all(pullback_sieve(cat, f, t) in covers.get(cat.dom[f], frozenset())
+                       for f in sorted(s.members)):
+                    t_, s_ = format_sieve(cat, t), format_sieve(cat, s)
+                    return _fail("local-character", (x, t_, s_),
+                                 f"sieve {t_} on {x} is locally covering over {s_} but not listed")
+    return PASS
+
+
+def least_covers(cat, covers) -> dict[str, Sieve]:
+    """The least cover of each object: the intersection of its covers, which
+    must itself be a cover. Raises on an object without covers and on cover
+    sets not closed under that intersection."""
+    least = {}
+    for x in cat.objects:
+        sieves = covers.get(x)
+        if not sieves:
+            raise ValueError(f"no covering sieves on {x}")
+        smin = Sieve(x, frozenset.intersection(*(s.members for s in sieves)))
+        if smin not in sieves:
+            raise ValueError(f"covers of {x} are not closed under intersection; topology invalid")
+        least[x] = smin
+    return least
 
 
 def is_tau_iso_by_sheafification(m: PresheafMorphism, top) -> TauIsoResult:

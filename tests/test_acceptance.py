@@ -27,12 +27,16 @@ from hosite import (
     run_site_suite,
     serialize_site,
     thicken_sieve,
-    validate_topology,
 )
 from hosite.cli import main as cli_main
 from hosite.enumeration import enumerate_presheaves
 import hosite.induced as induced_mod
-from oracles import is_bracket_cover_by_iso, matching_families_product
+from oracles import (
+    is_bracket_cover_by_iso,
+    least_covers,
+    matching_families_product,
+    validate_cover_sets,
+)
 
 POPULATION_SIZE = 200
 BOUND_SECONDS = 60.0
@@ -207,9 +211,10 @@ def test_criterion_8_discrete_control(site_c):
     tested = 0
     ok = True
     for combo in product(*per_object):
-        top = GrothendieckTopology(cat, dict(zip(cat.objects, combo)))
-        if not validate_topology(top):
+        covers = dict(zip(cat.objects, combo))
+        if not validate_cover_sets(cat, covers):
             continue
+        top = GrothendieckTopology(cat, least_covers(cat, covers))
         tested += 1
         induced = induced_topology(h, top)
         expected = {

@@ -20,6 +20,7 @@ from hosite import (
     all_sieves,
     emit_report,
     fixture_doc,
+    maximal_sieve,
     parse_site,
     serialize_site,
     site_digest,
@@ -139,6 +140,21 @@ def test_thicken_bad_sieve_is_load_error(fixture_files, capsys, sieve):
     # an unknown root, and a generator whose codomain is not the root
     assert main(["thicken", fixture_files["B"], "--sieve", sieve]) == 1
     assert capsys.readouterr().err.startswith(f"load error: --sieve {sieve}: ")
+
+
+@pytest.mark.parametrize("via", ["load", "thicken"])
+def test_unknown_generator_is_named_as_unknown(fixture_files, tmp_path, via):
+    # a generator that is no morphism at all is unknown, not one with another
+    # codomain: in a site's covers and in --sieve alike
+    if via == "load":
+        doc = json.loads(serialize_site(fixture_doc("B")))
+        doc["covers"] = {"y": [["zz"]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv, flag = ["validate", str(path)], ""
+    else:
+        argv, flag = ["thicken", fixture_files["B"], "--sieve", "zz@y"], "--sieve zz@y: "
+    assert run_cli(argv) == (1, "", f"load error: {flag}unknown morphism: zz\n")
 
 
 def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys):
@@ -501,7 +517,7 @@ def test_violation_report_replayable(fixture_files, monkeypatch, capsys):
 
 def test_induce_reports_theorem_violation(fixture_files, monkeypatch, capsys):
     # a verb that raises TheoremViolation reports it as a failing check
-    monkeypatch.setattr(induced_mod, "is_bracket_cover", lambda h, t, u: False)
+    monkeypatch.setattr(induced_mod, "bracket_sieve", lambda h, j: maximal_sieve(h.ho, j.root))
     outputs = []
     for _ in range(2):
         assert main(["induce", fixture_files["B"], "--json"]) == 2
@@ -521,7 +537,7 @@ def test_crash_while_loading_is_internal_error(fixture_files, monkeypatch, capsy
 
 
 def test_violation_report_prints_replay_line(fixture_files, monkeypatch, capsys):
-    monkeypatch.setattr(induced_mod, "is_bracket_cover", lambda h, t, u: False)
+    monkeypatch.setattr(induced_mod, "bracket_sieve", lambda h, j: maximal_sieve(h.ho, j.root))
     code = main(["check-lemmas", fixture_files["B"], "--seed", "5"])
     captured = capsys.readouterr()
     assert code == 2

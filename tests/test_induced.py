@@ -21,6 +21,7 @@ from hosite import (
     induced_topology,
     is_bracket_cover,
     is_sheaf,
+    load_site,
     maximal_sieve,
     random_site,
     saturate_topology,
@@ -28,8 +29,10 @@ from hosite import (
     validate_topology,
 )
 import hosite.induced as induced_mod
+import hosite.sieves as sieves
 from hosite.enumeration import enumerate_presheaves, walk_presheaves
 from hosite.induced import TheoremViolation
+from oracles import least_covers, validate_cover_sets
 
 
 def test_bracket_sieve_examples(site_b):
@@ -82,7 +85,7 @@ def _relabel_through_gamma(h, top):
     for x, sieves in top.covers.items():
         covers[x] = frozenset(
             Sieve(x, frozenset(h.gamma[f] for f in s.members)) for s in sieves)
-    return GrothendieckTopology(h.ho, covers)
+    return GrothendieckTopology(h.ho, least_covers(h.ho, covers))
 
 
 def test_induced_equals_input_on_discrete(site_c):
@@ -110,9 +113,10 @@ def test_all_topologies_on_discrete_base_are_fixed(site_c):
         per_object.append(options)
     count = 0
     for combo in iproduct(*per_object):
-        top = GrothendieckTopology(cat, dict(zip(cat.objects, combo)))
-        if not validate_topology(top):
+        covers = dict(zip(cat.objects, combo))
+        if not validate_cover_sets(cat, covers):
             continue
+        top = GrothendieckTopology(cat, least_covers(cat, covers))
         count += 1
         induced = induced_topology(h, top)
         assert induced == _relabel_through_gamma(h, top)
@@ -240,8 +244,9 @@ def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, mon
 
 
 def test_theorem_violation_raised_on_tampered_test(site_b, monkeypatch):
-    # breaking the isomorphism test must surface as a loud theorem violation
-    monkeypatch.setattr(induced_mod, "is_bracket_cover", lambda h, t, u: False)
+    # breaking the bracket of the least covers must surface as a loud
+    # theorem violation
+    monkeypatch.setattr(induced_mod, "bracket_sieve", lambda h, j: maximal_sieve(h.ho, j.root))
     with pytest.raises(TheoremViolation) as err:
         induced_mod.induced_topology(site_b.homotopy, site_b.topology)
     assert "disagree" in str(err.value)
@@ -269,6 +274,24 @@ def test_monotonicity_of_induced(site_b):
     induced_large = induced_topology(h, large)
     for x in cat.objects:
         assert induced_small.covers[x] <= induced_large.covers[x]
+
+
+def test_induced_laws_pull_back_once_per_quotient_arrow(count_calls):
+    # 15 independent arrows s -> t, two of them pairs of homotopic arrows:
+    # the quotient lattice on t has 2^13 + 1 sieves, all covering. The laws
+    # of [τ] are checked on its least covers, one pullback per arrow; a scan
+    # over every cover and every sieve took 114,704 pullbacks here
+    doc = {
+        "objects": ["s", "t"],
+        "morphisms": [{"name": f"a{i}", "dom": "s", "cod": "t"} for i in range(15)],
+        "edges": [["a3", "a4"], ["a6", "a7"]],
+        "covers": {"t": [["a0", "a1"], ["a0", "a2", "a5"]]},
+    }
+    site = load_site(doc)
+    calls = count_calls(sieves, "pullback_sieve")
+    induced = induced_topology(site.homotopy, site.topology)
+    assert sum(len(v) for v in induced.covers.values()) == 8195
+    assert len(calls) <= len(site.homotopy.ho.morphisms) == 15
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -162,8 +162,9 @@ def test_sheaf_plans_are_laid_out_once_per_topology(site_b, monkeypatch):
     # the non-maximal least-cover plans are cached next to the cover plan:
     # once they exist, classifying makes no arrows_into call
     from hosite import FiniteCategory, GrothendieckTopology
+    from oracles import least_covers
     cat = site_b.category
-    top = GrothendieckTopology(cat, dict(site_b.topology.covers))
+    top = GrothendieckTopology(cat, least_covers(cat, site_b.topology.covers))
     calls = []
     arrows_into = FiniteCategory.arrows_into
     monkeypatch.setattr(FiniteCategory, "arrows_into",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -22,7 +23,12 @@ from hosite import (
     validate_sieve,
     validate_topology,
 )
-from oracles import all_sieves_by_subsets, saturate_by_closure
+from oracles import (
+    all_sieves_by_subsets,
+    least_covers,
+    saturate_by_closure,
+    validate_cover_sets,
+)
 
 
 def test_generate_sieve_examples(site_b, site_d):
@@ -69,10 +75,15 @@ def test_maximality_violation(site_b):
     top = site_b.topology
     covers = dict(top.covers)
     covers["x"] = frozenset()
-    report = validate_topology(GrothendieckTopology(top.base, covers))
+    report = validate_cover_sets(top.base, covers)
     assert not report
     assert report.law == "maximality"
     assert report.witness[0] == "x"
+    # least covers hold maximality by construction: only an object without
+    # one has no covers
+    least = {o: s for o, s in top.least.items() if o != "x"}
+    report = validate_topology(GrothendieckTopology(top.base, least))
+    assert (report.law, report.witness) == ("maximality", ("x",))
 
 
 def test_doctored_fixture_d_reports_first_axiom(site_d):
@@ -81,10 +92,13 @@ def test_doctored_fixture_d_reports_first_axiom(site_d):
     top = site_d.topology
     covers = dict(top.covers)
     covers["a"] = frozenset()
-    report = validate_topology(GrothendieckTopology(top.base, covers))
+    report = validate_cover_sets(top.base, covers)
     assert not report
     assert report.law == "maximality"
     assert report.witness[0] == "a"
+    least = {o: s for o, s in top.least.items() if o != "a"}
+    report = validate_topology(GrothendieckTopology(top.base, least))
+    assert (report.law, report.witness) == ("maximality", ("a",))
 
 
 def test_pure_stability_violation(site_d):
@@ -99,9 +113,14 @@ def test_pure_stability_violation(site_d):
             maximal_sieve(cat, "c"),
         ]),
     }
-    report = validate_topology(GrothendieckTopology(cat, covers))
+    report = validate_cover_sets(cat, covers)
     assert not report
     assert report.law == "stability"
+    # the cover sets are the upsets of {u} on c: the closed form finds the
+    # same pullback
+    top = GrothendieckTopology(cat, least_covers(cat, covers))
+    assert top.covers == covers
+    assert validate_topology(top) == report
 
 
 def test_saturation_reaches_tau_b(site_b):
@@ -156,34 +175,65 @@ def test_cover_intersections_covering(all_sites):
 
 def test_minimal_cover_without_covers(site_b):
     cat = site_b.category
-    top = GrothendieckTopology(cat, {"y": frozenset([maximal_sieve(cat, "y")])})
+    top = GrothendieckTopology(cat, {"y": maximal_sieve(cat, "y")})
     with pytest.raises(ValueError, match="^no covering sieves on x$"):
         minimal_cover(top, "x")
     assert minimal_cover(top, "y") == maximal_sieve(cat, "y")
+    # the oracle's intersection of explicit cover sets refuses the same
+    with pytest.raises(ValueError, match="^no covering sieves on x$"):
+        least_covers(cat, {"y": frozenset([maximal_sieve(cat, "y")])})
 
 
 def test_minimal_cover_of_covers_not_closed_under_intersection(site_b):
-    # {f1} and {f2} cover y but their intersection, the empty sieve, does not
+    # {f1} and {f2} cover y but their intersection, the empty sieve, does
+    # not: such cover sets have no least covers, so no topology holds them
     cat = site_b.category
-    top = GrothendieckTopology(cat, {
+    covers = {
         "x": frozenset([maximal_sieve(cat, "x")]),
         "y": frozenset([Sieve("y", frozenset({"f1"})), Sieve("y", frozenset({"f2"})),
                         maximal_sieve(cat, "y")]),
-    })
+    }
     with pytest.raises(ValueError, match="^covers of y are not closed under intersection; "
                                          "topology invalid$"):
-        minimal_cover(top, "y")
-    assert minimal_cover(top, "x") == maximal_sieve(cat, "x")
+        least_covers(cat, covers)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
-def test_suite_computes_each_least_cover_once(name, count_calls):
-    # one least cover per object for the base topology and one for the
-    # induced topology, each read from the cover plan thereafter
+def test_suite_computes_each_least_cover_once(name, monkeypatch):
+    # one least-cover plan per object for the base topology and one for the
+    # induced topology, each read from the cover plan thereafter (the
+    # colimit oracle in sheafify lays out every cover on its own)
     site = fixture_site(name)
-    calls = count_calls(sieves, "minimal_cover")
+    calls = []
+    plan = sieves.sieve_plan
+    monkeypatch.setattr(sieves, "sieve_plan", lambda cat, s: calls.append(s) or plan(cat, s))
     run_site_suite(site, bound=2, seed=0)
     assert len(calls) == 2 * len(site.category.objects)
+
+
+def test_closed_form_laws_agree_with_oracle(all_sites, random_sites):
+    # one sieve per object, valid or not: every assignment on the fixtures'
+    # categories and 40 seeded ones per category of random sites 0-49; the
+    # closed form on the least covers and the lattice scan on their upsets
+    # give the same verdict
+    rng = Random(11)
+    assignments = []
+    for site in all_sites.values():
+        for cat in (site.category, site.homotopy.ho):
+            lattices = [all_sieves(cat, x) for x in cat.objects]
+            assignments += [(cat, combo) for combo in product(*lattices)]
+    for site in random_sites:
+        for cat in (site.category, site.homotopy.ho):
+            lattices = [all_sieves(cat, x) for x in cat.objects]
+            assignments += [(cat, [rng.choice(lattice) for lattice in lattices])
+                            for _ in range(40)]
+    valid = 0
+    for cat, combo in assignments:
+        top = GrothendieckTopology(cat, dict(zip(cat.objects, combo)))
+        verdict = bool(validate_topology(top))
+        assert verdict == bool(validate_cover_sets(cat, top.covers)), (cat.objects, combo)
+        valid += verdict
+    assert (len(assignments), valid) == (4085, 2858)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -191,6 +241,7 @@ def test_suite_computes_each_least_cover_once(name, count_calls):
 def test_random_saturations_validate(seed):
     site = random_site(seed)
     assert validate_topology(site.topology)
+    assert validate_cover_sets(site.category, site.topology.covers)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -213,12 +264,13 @@ def test_all_sieves_agrees_with_subsets(all_sites, random_sites):
 
 def test_saturation_agrees_with_closure(all_sites, random_sites):
     rng = Random(3)
-    # loading trusts saturation to build a topology; the generic validator
-    # checks every saturation built here
+    # loading trusts saturation to build a topology; the closed-form
+    # validator and its oracle check every saturation built here
     for site in [*all_sites.values(), *random_sites]:
-        assert saturate_topology(site.category, site.raw["covers"]) == \
+        assert saturate_topology(site.category, site.raw["covers"]).covers == \
             saturate_by_closure(site.category, site.raw["covers"])
         assert validate_topology(site.topology)
+        assert validate_cover_sets(site.category, site.topology.covers)
         for cat in (site.category, site.homotopy.ho):
             for _ in range(4):
                 generating = {}
@@ -228,5 +280,6 @@ def test_saturation_agrees_with_closure(all_sites, random_sites):
                         generating[x] = [rng.sample(arrows, rng.randint(0, len(arrows)))
                                          for _ in range(rng.randint(1, 2))]
                 top = saturate_topology(cat, generating)
-                assert top == saturate_by_closure(cat, generating)
+                assert top.covers == saturate_by_closure(cat, generating)
                 assert validate_topology(top)
+                assert validate_cover_sets(cat, top.covers)

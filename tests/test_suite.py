@@ -135,10 +135,11 @@ def _fixed_classification(on_quotient: str, on_base: str):
 def _induced_by(covers_of):
     """induced_topology replaced by one whose covers are covers_of(ho, x)."""
     from hosite import GrothendieckTopology
+    from oracles import least_covers
 
     def fake(h, top):
-        return GrothendieckTopology(
-            h.ho, {x: frozenset(covers_of(h.ho, x)) for x in h.ho.objects})
+        return GrothendieckTopology(h.ho, least_covers(
+            h.ho, {x: frozenset(covers_of(h.ho, x)) for x in h.ho.objects}))
     return fake
 
 

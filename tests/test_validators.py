@@ -1,7 +1,9 @@
 """One minimal bad input per validator law: the report names the law and the
 witness. Loading a site runs the input validators and nothing later
 re-checks it, so they are the only gate on input; loading trusts
-saturation, and ``validate_topology`` stays its oracle."""
+saturation, and ``validate_topology`` stays its oracle. The topology laws
+run on explicit cover sets through the test oracle ``validate_cover_sets``,
+and in closed form on least covers through ``validate_topology``."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -23,6 +25,7 @@ from hosite import (
     validate_sieve,
     validate_topology,
 )
+from oracles import validate_cover_sets
 
 ARROW = make_category(["a", "b"], [("f", "a", "b")])  # f : a -> b
 PAIR = make_category(["a", "b"], [("f", "a", "b"), ("f2", "a", "b")])
@@ -118,27 +121,43 @@ CASES = [
      (ARROW, Sieve("b", frozenset({"id_a"}))), "structure", ("id_a",), "codomain b"),
     ("sieve-closure", validate_sieve,
      (ARROW, Sieve("b", frozenset({"id_b"}))), "closure", ("id_b", "f"), "escapes"),
-    # validate_topology: structure
-    ("topology-unknown-object", validate_topology,
-     (GrothendieckTopology(ARROW, {"q": frozenset()}),), "structure", (), "unknown object"),
-    ("topology-misfiled-sieve", validate_topology,
-     (GrothendieckTopology(ARROW, {"a": frozenset({Sieve("b", frozenset({"f", "id_b"}))})}),),
+    # validate_cover_sets (the oracle on explicit cover sets): structure
+    ("topology-unknown-object", validate_cover_sets,
+     (ARROW, {"q": frozenset()}), "structure", (), "unknown object"),
+    ("topology-misfiled-sieve", validate_cover_sets,
+     (ARROW, {"a": frozenset({Sieve("b", frozenset({"f", "id_b"}))})}),
      "structure", ("a",), "filed under a"),
-    ("topology-sieve-invariant", validate_topology,
-     (GrothendieckTopology(ARROW, {"b": frozenset({Sieve("b", frozenset({"id_b"}))})}),),
+    ("topology-sieve-invariant", validate_cover_sets,
+     (ARROW, {"b": frozenset({Sieve("b", frozenset({"id_b"}))})}),
      "sieve-invariant", ("b", "id_b", "f"), "escapes"),
-    # validate_topology: the laws, on sieve sets no saturation produces
-    ("topology-local-character", validate_topology,
-     (GrothendieckTopology(ARROW, {"a": frozenset({EMPTY_A, MAX_A}),
-                                   "b": frozenset({EMPTY_B, MAX_B})}),),
+    # validate_cover_sets: the laws, on sieve sets no saturation produces
+    ("topology-local-character", validate_cover_sets,
+     (ARROW, {"a": frozenset({EMPTY_A, MAX_A}), "b": frozenset({EMPTY_B, MAX_B})}),
      "local-character", ("b", "{f}", "{}"), "locally covering"),
-    ("topology-stability", validate_topology,
-     (GrothendieckTopology(ARROW, {"a": frozenset({MAX_A}), "b": frozenset({EMPTY_B, MAX_B})}),),
+    ("topology-stability", validate_cover_sets,
+     (ARROW, {"a": frozenset({MAX_A}), "b": frozenset({EMPTY_B, MAX_B})}),
      "stability", ("b", "{}", "f"), "not covering a"),
-    ("topology-maximality", validate_topology,
-     (GrothendieckTopology(ARROW, {"a": frozenset({MAX_A}),
-                                   "b": frozenset({Sieve("b", frozenset({"f"}))})}),),
+    ("topology-maximality", validate_cover_sets,
+     (ARROW, {"a": frozenset({MAX_A}), "b": frozenset({Sieve("b", frozenset({"f"}))})}),
      "maximality", ("b",), "maximal sieve on b"),
+    # validate_topology, in closed form on least covers: the same rows where
+    # least covers can state them (maximality holds by construction, and
+    # the local-character row above is not an upset)
+    ("least-unknown-object", validate_topology,
+     (GrothendieckTopology(ARROW, {"q": Sieve("q", frozenset())}),), "structure", (),
+     "unknown object"),
+    ("least-misfiled-sieve", validate_topology,
+     (GrothendieckTopology(ARROW, {"a": Sieve("b", frozenset({"f", "id_b"}))}),),
+     "structure", ("a",), "filed under a"),
+    ("least-sieve-invariant", validate_topology,
+     (GrothendieckTopology(ARROW, {"b": Sieve("b", frozenset({"id_b"}))}),),
+     "sieve-invariant", ("b", "id_b", "f"), "escapes"),
+    ("least-local-character", validate_topology,
+     (GrothendieckTopology(ARROW, {"a": EMPTY_A, "b": Sieve("b", frozenset({"f"}))}),),
+     "local-character", ("b", "{}", "{f}"), "locally covering"),
+    ("least-stability", validate_topology,
+     (GrothendieckTopology(ARROW, {"a": MAX_A, "b": EMPTY_B}),),
+     "stability", ("b", "{}", "f"), "not covering a"),
     # validate_enrichment: edge endpoints
     ("enrichment-unknown-endpoint", validate_enrichment,
      (EnrichedCategory(ARROW, (("f", "nope"),)),), "edge-endpoints", ("f", "nope"),
@@ -162,6 +181,14 @@ def test_validator_reports_law_and_witness(validator, args, law, witness, detail
     assert not report
     assert (report.law, report.witness) == (law, witness)
     assert detail in report.detail
+
+
+@pytest.mark.parametrize("name", ["least-local-character", "least-stability"])
+def test_closed_form_law_rows_match_the_oracle(name):
+    # on the cover sets a least-cover row stands for, the oracle reports
+    # the same law, witness and detail
+    [(top,)] = [case[2] for case in CASES if case[0] == name]
+    assert validate_cover_sets(top.base, top.covers) == validate_topology(top)
 
 
 def test_well_formed_inputs_pass():
