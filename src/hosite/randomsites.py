@@ -2,16 +2,16 @@
 
 Categories are sampled by drawing an arrow pattern, completing it so every
 composable pair has a candidate composite, and one ``backtrack`` over
-composite assignments (each pair's shuffled candidates in turn). Setting the
-composite of pair i is checked only on the associativity triples (h, g, f)
-that can read it: the table before slot i passed every earlier check, so a
-triple that never reads the new key keeps its verdict, and the verdict at
-every node is the one a rescan of every triple would give. Each slot's
-triples are listed once per search from the pairs and their candidates.
-Every candidate spends a node of a fixed budget, none passes once it is
+composite assignments (each pair's shuffled candidates in turn) on a table
+read by integer codes: arrows then identities are coded 0..w-1, g∘f is keyed
+g·w + f, and the table found is decoded to arrow names. Setting slot i's
+composite is checked only on the associativity triples (h, g, f) that can
+read it, listed once per search: the table before slot i passed every
+earlier check, so each node's verdict is that of a rescan of every triple.
+Each candidate spends a node of a fixed budget, none passes once it is
 spent, and patterns not completed within it are redrawn. Enrichments are
-rejection-sampled against whisker-compatibility, with discrete enrichment as
-the fallback. Everything is driven by one seed so failures replay exactly.
+rejection-sampled against whisker-compatibility, discrete enrichment the
+fallback. Everything is driven by one seed so failures replay exactly.
 """
 from __future__ import annotations
 
@@ -41,9 +41,10 @@ def _complete_pattern(arrows, max_morphisms):
         arrows.append((f"m{len(arrows) + 1}", d, c))
 
 
-def _slot_triples(pairs, candidates):
+def _slot_triples(keys, candidates, width):
     """For each slot i, the triples (h, g, f) whose check can read the
-    composite of ``pairs[i]`` while slots 0..i are set.
+    composite keyed ``keys[i]`` while slots 0..i are set, each listed as the
+    four ints its check reads: h·w and the keys of g∘f, h∘g and f (w = width).
 
     A triple reads (h, g) and (g, f), then (h, g∘f) and (h∘g, f); it is
     decidable once its first two keys are set, at the later of their slots,
@@ -51,46 +52,51 @@ def _slot_triples(pairs, candidates):
     middle composite is one of its pair's candidates. The triple (m, m, m)
     reads m∘m as both of its first keys, so it is listed at that key's own
     slot, not only after it."""
-    index = {p: i for i, p in enumerate(pairs)}
-    after: dict[str, list[str]] = {}
-    for g, f in pairs:
-        after.setdefault(g, []).append(f)
-    slots: list[dict] = [{} for _ in pairs]  # ordered sets of triples
-    for (h, g), i_hg in index.items():
-        for f in after.get(g, ()):
-            triple = (h, g, f)
-            first = max(i_hg, index[(g, f)])
-            slots[first][triple] = None
-            later = [index.get((h, c)) for c in candidates[(g, f)]]
-            later += [index.get((c, f)) for c in candidates[(h, g)]]
-            for j in later:
-                if j is not None and j > first:
-                    slots[j][triple] = None
+    index = [-1] * (width * width)  # slot of each key, -1 if none
+    after: list[list[int]] = [[] for _ in range(width)]
+    for i, k in enumerate(keys):
+        index[k] = i
+        after[k // width].append(k % width)
+    slots: list[dict] = [{} for _ in keys]  # ordered sets of checks
+    for i_hg, hg in enumerate(keys):
+        h, g = divmod(hg, width)
+        for f in after[g]:
+            gf = g * width + f
+            check = (h * width, gf, hg, f)
+            first = max(i_hg, index[gf])
+            slots[first][check] = None
+            for j in [index[h * width + c] for c in candidates[index[gf]]] + \
+                     [index[c * width + f] for c in candidates[i_hg]]:
+                if j > first:
+                    slots[j][check] = None
     return [tuple(s) for s in slots]
 
 
 def _assign_composites(rng: Random, objects, arrows):
-    """An associative composition table, or None if the budget runs out."""
-    names = [a[0] for a in arrows]
-    dom = {a[0]: a[1] for a in arrows}
-    cod = {a[0]: a[2] for a in arrows}
+    """An associative composition table, or None if a composable pair has no
+    candidate, the node budget runs out or every candidate fails."""
+    codes = [a[0] for a in arrows] + ["id_" + o for o in objects]
+    n, width = len(arrows), len(codes)
+    dom = [n + objects.index(a[1]) for a in arrows]  # the identity's code
+    cod = [n + objects.index(a[2]) for a in arrows]
 
-    pairs = [(g, f) for g in names for f in names if cod[f] == dom[g]]
-    candidates = {}
+    pairs = [(g, f) for g in range(n) for f in range(n) if cod[f] == dom[g]]
+    candidates = []
     for g, f in pairs:
-        cands = [m for m in names if dom[m] == dom[f] and cod[m] == cod[g]]
+        cands = [m for m in range(n) if dom[m] == dom[f] and cod[m] == cod[g]]
         if dom[f] == cod[g]:
-            cands.append("id_" + dom[f])
+            cands.append(dom[f])
         if not cands:
             return None
         rng.shuffle(cands)
-        candidates[(g, f)] = cands
+        candidates.append(cands)
 
     # identity composites are fixed, so every lookup is a plain table read
-    table: dict[tuple[str, str], str] = {}
-    for m in names:
-        table[(m, "id_" + dom[m])] = table[("id_" + cod[m], m)] = m
-    checks = _slot_triples(pairs, candidates)
+    table: dict[int, int] = {}
+    for m in range(n):
+        table[m * width + dom[m]] = table[cod[m] * width + m] = m
+    keys = [g * width + f for g, f in pairs]
+    checks = _slot_triples(keys, candidates, width)
     get = table.get
     budget = _NODE_BUDGET
 
@@ -100,14 +106,14 @@ def _assign_composites(rng: Random, objects, arrows):
         budget -= 1
         if budget <= 0:
             return False
-        for h, g, f in checks[i]:
-            left = get((h, table[(g, f)]))
-            if left is not None and left != get((table[(h, g)], f), left):
+        for hw, gf, hg, f in checks[i]:
+            left = get(hw + table[gf])
+            if left is not None and left != get(table[hg] * width + f, left):
                 return False
         return True
 
-    for _ in backtrack(pairs, lambda i: candidates[pairs[i]], ok, table):
-        return {k: table[k] for k in pairs}
+    for _ in backtrack(keys, candidates.__getitem__, ok, table):
+        return {(codes[g], codes[f]): codes[table[k]] for (g, f), k in zip(pairs, keys)}
     return None
 
 
@@ -169,6 +175,10 @@ def _sample_covers(rng: Random, category):
 def random_site(seed: int, max_objects: int = 4, max_morphisms: int = 8,
                 max_edges: int = 6) -> SiteDocument:
     """Deterministic random site for a seed; always loads cleanly."""
+    for name, limit, least in (("max_objects", max_objects, 1), ("max_morphisms", max_morphisms, 0),
+                               ("max_edges", max_edges, 0)):
+        if limit < least:
+            raise ValueError(f"{name} must be at least {least}, got {limit}")
     rng = Random(seed)
     for _ in range(300):
         sampled = _sample_category(rng, max_objects, max_morphisms)

@@ -20,11 +20,14 @@ tuple-and-count test is checked. Associativity of a partial composition
 table is decided here by a rescan of every triple, against which the
 random-site generator's per-slot check is checked at every node of its
 search. The connected components of the homotopy edges are computed here,
-against which the fibres of gamma are checked. Two searches keep their old
-shape here as order oracles: the hom search branching per object over whole
-component tables, against which the per-section search is checked for the
-same sequence, and the reservoir drawing by ``rng.randint``, against which
-the inlined draw is checked for the same samples and the same rng state.
+against which the fibres of gamma are checked. Three searches keep their
+old shape here as order oracles: the hom search branching per object over
+whole component tables, against which the per-section search is checked for
+the same sequence; the reservoir drawing by ``rng.randint``, against which
+the inlined draw is checked for the same samples and the same rng state;
+and the random-site composite search on a table keyed by arrow names,
+against which the search on integer codes is checked for the same table,
+node count and rng state.
 """
 from __future__ import annotations
 
@@ -57,6 +60,7 @@ from hosite import (
 from hosite.core import PASS, _fail
 from hosite.enumeration import _build
 from hosite.homotopy import HomotopyCategoryData
+from hosite.randomsites import _NODE_BUDGET
 from hosite.sheafify import _family_dicts, canonical_family, family_key
 from hosite.sieves import sieve_plan
 from hosite.util import UnionFind, backtrack
@@ -443,6 +447,71 @@ def associative_so_far(table, pairs, names) -> bool:
                 if left is not None and left != table.get((hg, f), left):
                     return False
     return True
+
+
+def slot_triples_by_name(pairs, candidates):
+    """For each slot i, the triples (h, g, f) whose check can read the
+    composite of ``pairs[i]`` while slots 0..i are set, by arrow names: at
+    the later slot of (h, g) and (g, f), and at every later slot of (h, c)
+    or (c, f) with c a candidate of g∘f or h∘g."""
+    index = {p: i for i, p in enumerate(pairs)}
+    after: dict[str, list[str]] = {}
+    for g, f in pairs:
+        after.setdefault(g, []).append(f)
+    slots: list[dict] = [{} for _ in pairs]  # ordered sets of triples
+    for (h, g), i_hg in index.items():
+        for f in after.get(g, ()):
+            triple = (h, g, f)
+            first = max(i_hg, index[(g, f)])
+            slots[first][triple] = None
+            later = [index.get((h, c)) for c in candidates[(g, f)]]
+            later += [index.get((c, f)) for c in candidates[(h, g)]]
+            for j in later:
+                if j is not None and j > first:
+                    slots[j][triple] = None
+    return [tuple(s) for s in slots]
+
+
+def assign_composites_by_name(rng, objects, arrows):
+    """The random-site composite search on a table keyed by ``(g, f)`` name
+    pairs: the same pairs, shuffled candidates, per-slot checks and node
+    budget, so the same table (or None), node count and rng stream."""
+    names = [a[0] for a in arrows]
+    dom = {a[0]: a[1] for a in arrows}
+    cod = {a[0]: a[2] for a in arrows}
+
+    pairs = [(g, f) for g in names for f in names if cod[f] == dom[g]]
+    candidates = {}
+    for g, f in pairs:
+        cands = [m for m in names if dom[m] == dom[f] and cod[m] == cod[g]]
+        if dom[f] == cod[g]:
+            cands.append("id_" + dom[f])
+        if not cands:
+            return None
+        rng.shuffle(cands)
+        candidates[(g, f)] = cands
+
+    table: dict[tuple[str, str], str] = {}
+    for m in names:
+        table[(m, "id_" + dom[m])] = table[("id_" + cod[m], m)] = m
+    checks = slot_triples_by_name(pairs, candidates)
+    get = table.get
+    budget = _NODE_BUDGET
+
+    def ok(i: int) -> bool:
+        nonlocal budget
+        budget -= 1
+        if budget <= 0:
+            return False
+        for h, g, f in checks[i]:
+            left = get((h, table[(g, f)]))
+            if left is not None and left != get((table[(h, g)], f), left):
+                return False
+        return True
+
+    for _ in backtrack(pairs, lambda i: candidates[pairs[i]], ok, table):
+        return {k: table[k] for k in pairs}
+    return None
 
 
 def pi0(vertices, edges) -> tuple[tuple[str, ...], ...]:
