@@ -81,8 +81,10 @@ def _parse_sieve_flag(site: SiteDocument, arg: str) -> Sieve:
     if "@" not in arg:
         raise SiteLoadError("load error: --sieve expects 'f1,f2@object'")
     names, root = arg.rsplit("@", 1)
-    generators = [n for n in names.split(",") if n]
+    generators = names.split(",") if names else []
     try:
+        if "" in generators:
+            raise ValueError("empty morphism name")
         return generate_sieve(site.category, root, generators)
     except ValueError as exc:
         raise SiteLoadError(f"load error: --sieve {arg}: {exc}") from None

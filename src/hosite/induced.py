@@ -207,21 +207,22 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
             "converse-witness", "pass", "no witness within bounds",
             data={"found": False}))
 
-    # (d): thickening calculus
+    # (d): thickening calculus, one bracket per cover. The first pair sharing a bracket
+    # but not a thickening starts at its group's first cover, which differs from one of them.
     d_cases = 0
     d_fail: CheckResult | None = None
     for x in h.base.objects:
-        covers = top.covers_of(x)
-        thickened = {}
-        for j in covers:
+        groups: dict[Sieve, list[tuple[Sieve, Sieve]]] = {}
+        for j in top.covers_of(x):
             d_cases += 1
             jd = thicken_sieve(h, j)
+            bracket = bracket_sieve(h, j)
             problems = []
             if not j.members <= jd.members:
                 problems.append("thickening lost members")
             if thicken_sieve(h, jd) != jd:
                 problems.append("thickening is not idempotent")
-            if bracket_sieve(h, jd) != bracket_sieve(h, j):
+            if bracket_sieve(h, jd) != bracket:
                 problems.append("thickening changed the bracket")
             if not top.is_cover(jd):
                 problems.append("thickened sieve is not covering")
@@ -230,17 +231,14 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
                     "thickening", "fail", "; ".join(problems),
                     counterexample={"object": x, "sieve": format_sieve(h.base, j),
                                     "thickened": format_sieve(h.base, jd)})
-            thickened[j] = jd
-        for i, j1 in enumerate(covers):
-            for j2 in covers[i + 1:]:
-                if thickened[j1] != thickened[j2] and \
-                        bracket_sieve(h, j1) == bracket_sieve(h, j2) and d_fail is None:
-                    d_fail = CheckResult(
-                        "thickening", "fail",
-                        "distinct thickened sieves share a bracket",
-                        counterexample={"object": x,
-                                        "first": format_sieve(h.base, j1),
-                                        "second": format_sieve(h.base, j2)})
+            groups.setdefault(bracket, []).append((j, jd))
+        clash = next(((j1, j) for (j1, jd1), *rest in groups.values()
+                      for j, jd in rest if jd != jd1), None)
+        if clash and d_fail is None:
+            d_fail = CheckResult(
+                "thickening", "fail", "distinct thickened sieves share a bracket",
+                counterexample={"object": x, "first": format_sieve(h.base, clash[0]),
+                                "second": format_sieve(h.base, clash[1])})
     results.append(d_fail or CheckResult(
         "thickening", "pass", f"{d_cases} covers checked", data={"cases": d_cases}))
     return results

@@ -1,11 +1,9 @@
 """Sieves and Grothendieck topologies on finite categories.
 
-Sieves are stored as explicit member sets (generators are forgotten after
-generation). A topology on a finite category is fixed by one least cover
-J(x) per object, and stores only those: the covers of x, the sieves
-containing J(x), are derived once, and the laws are checked in closed form
-on J. A sieve lattice of more than ``MAX_SIEVES`` (2^16) sieves on one
-object is refused, naming the object.
+Sieves are explicit member sets. A topology stores one least cover J(x) per
+object and checks its laws in closed form on J; the covers of x, the sieves
+containing J(x), are listed once, when first read. A lattice of more than
+``MAX_SIEVES`` (2^16) sieves on one object is refused, naming the object.
 """
 from __future__ import annotations
 

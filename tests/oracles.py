@@ -13,7 +13,10 @@ which the package's closed-form check on least covers is checked for the
 same verdict; the least cover of a cover set is its intersection here. A
 sieve on the homotopy category covers here when the gamma-pullback of its
 inclusion is a tau-local isomorphism, against which the package's closed
-form (the sieve holds the bracket of the base least cover) is checked. The sheaf
+form (the sieve holds the bracket of the base least cover) is checked. The
+thickening calculus is checked here on every pair of base covers, against
+which the package's one pass grouping the covers by bracket is checked for
+the same result under the real thickening and under broken ones. The sheaf
 condition is decided here by comparing the string keys of the canonical
 families with those of every matching family, against which the package's
 tuple-and-count test is checked. Associativity of a partial composition
@@ -33,7 +36,9 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import hosite.induced as induced
 from hosite import (
+    CheckResult,
     Classification,
     GrothendieckTopology,
     PresheafMorphism,
@@ -395,6 +400,49 @@ def is_bracket_cover_by_iso(h: HomotopyCategoryData, top: GrothendieckTopology,
     """True iff the inclusion of u into the representable on its root, pulled
     back along gamma, is a local isomorphism for the base topology."""
     return bool(is_tau_iso(gamma_star_morphism(h, sieve_inclusion(h.ho, u)), top))
+
+
+def thickening_by_pairs(h: HomotopyCategoryData, top: GrothendieckTopology) -> CheckResult:
+    """Lemma group (d) by its statement: each cover's thickening checked on
+    its own, then every pair of covers whose thickenings differ compared by
+    bracket. Reads ``thicken_sieve`` and ``bracket_sieve`` off the module at
+    call time, so a patched thickening reaches the oracle too."""
+    thicken, bracket = induced.thicken_sieve, induced.bracket_sieve
+    cases = 0
+    fail: CheckResult | None = None
+    for x in h.base.objects:
+        covers = top.covers_of(x)
+        thickened = {}
+        for j in covers:
+            cases += 1
+            jd = thicken(h, j)
+            problems = []
+            if not j.members <= jd.members:
+                problems.append("thickening lost members")
+            if thicken(h, jd) != jd:
+                problems.append("thickening is not idempotent")
+            if bracket(h, jd) != bracket(h, j):
+                problems.append("thickening changed the bracket")
+            if not top.is_cover(jd):
+                problems.append("thickened sieve is not covering")
+            if problems and fail is None:
+                fail = CheckResult(
+                    "thickening", "fail", "; ".join(problems),
+                    counterexample={"object": x, "sieve": format_sieve(h.base, j),
+                                    "thickened": format_sieve(h.base, jd)})
+            thickened[j] = jd
+        for i, j1 in enumerate(covers):
+            for j2 in covers[i + 1:]:
+                if thickened[j1] != thickened[j2] and \
+                        bracket(h, j1) == bracket(h, j2) and fail is None:
+                    fail = CheckResult(
+                        "thickening", "fail",
+                        "distinct thickened sieves share a bracket",
+                        counterexample={"object": x,
+                                        "first": format_sieve(h.base, j1),
+                                        "second": format_sieve(h.base, j2)})
+    return fail or CheckResult(
+        "thickening", "pass", f"{cases} covers checked", data={"cases": cases})
 
 
 def sheaf_condition_by_families(pre: SetPresheaf, top: GrothendieckTopology):

@@ -28,6 +28,7 @@ from hosite import (
 import hosite.cli as cli
 from hosite.cli import build_parser, main, run_command
 import hosite.induced as induced_mod
+import hosite.sieves as sieves
 from hosite.siteio import SiteLoadError
 
 
@@ -135,9 +136,10 @@ def test_count_below_range_is_load_error(fixture_files, capsys, flag, value):
     assert err.startswith(f"load error: {flag} {value}")
 
 
-@pytest.mark.parametrize("sieve", ["f1@nope", "f1@x"])
+@pytest.mark.parametrize("sieve", ["f1@nope", "f1@x", "f1,,f2@y", "f1,@y", ",f1@y"])
 def test_thicken_bad_sieve_is_load_error(fixture_files, capsys, sieve):
-    # an unknown root, and a generator whose codomain is not the root
+    # an unknown root, a generator whose codomain is not the root, and an
+    # empty generator name, which is not read as no generator
     assert main(["thicken", fixture_files["B"], "--sieve", sieve]) == 1
     assert capsys.readouterr().err.startswith(f"load error: --sieve {sieve}: ")
 
@@ -157,8 +159,9 @@ def test_unknown_generator_is_named_as_unknown(fixture_files, tmp_path, via):
     assert run_cli(argv) == (1, "", f"load error: {flag}unknown morphism: zz\n")
 
 
-def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys):
-    # the top object of an 18-object chain has 18 arrows into it
+def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys, count_calls):
+    # the top object of an 18-object chain has 18 arrows into it, enough to
+    # pass the cap, so loading lists each object's lattice, once
     objects = [f"c{i}" for i in range(1, 19)]
     doc = {
         "objects": objects,
@@ -169,7 +172,9 @@ def test_chain_site_beyond_sixteen_arrows_loads(tmp_path, capsys):
     }
     path = tmp_path / "chain.json"
     path.write_text(serialize_site(doc), encoding="utf-8")
+    calls = count_calls(sieves, "all_sieves")
     assert main(["validate", str(path)]) == 0
+    assert [x for _, x in calls] == objects
     capsys.readouterr()
     assert len(all_sieves(parse_site(serialize_site(doc)).category, "c18")) == 19
 
@@ -190,8 +195,12 @@ def test_oversized_sieve_lattice_is_load_error(tmp_path, capsys, n):
     assert capsys.readouterr().err == "load error: the sieve lattice on t has more than 65536 sieves\n"
 
 
-def test_sieve_lattice_below_the_limit_loads(tmp_path, capsys):
+def test_sieve_lattice_below_the_limit_loads(tmp_path, capsys, count_calls):
+    # 16 arrows into t allow at most 2^15 + 1 sieves, under the cap, so
+    # loading lists no lattice
+    calls = count_calls(sieves, "all_sieves")
     assert main(["validate", _fan_site(tmp_path, 15)]) == 0
+    assert calls == []
 
 
 def test_all_fixtures_self_validate(fixture_files):
@@ -237,6 +246,13 @@ def test_thicken_output(fixture_files):
     code, out, err = run_cli(["thicken", fixture_files["B"], "--sieve", "f1@y"])
     assert code == 0
     assert "{f1, f2}" in out
+
+
+def test_thicken_empty_generating_set(fixture_files, capsys):
+    # '@y' names no generator: the empty sieve, which thickens to itself
+    assert main(["thicken", fixture_files["B"], "--sieve", "@y", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)["checks"][0]["data"]
+    assert (data["input"], data["thickened"]) == ([], [])
 
 
 def test_sheafify_and_classify_verbs(fixture_files):

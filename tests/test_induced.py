@@ -276,22 +276,40 @@ def test_monotonicity_of_induced(site_b):
         assert induced_small.covers[x] <= induced_large.covers[x]
 
 
-def test_induced_laws_pull_back_once_per_quotient_arrow(count_calls):
-    # 15 independent arrows s -> t, two of them pairs of homotopic arrows:
-    # the quotient lattice on t has 2^13 + 1 sieves, all covering. The laws
-    # of [τ] are checked on its least covers, one pullback per arrow; a scan
-    # over every cover and every sieve took 114,704 pullbacks here
-    doc = {
+def _fan(n: int) -> dict:
+    """n independent arrows s -> t, with a3 ~ a4 and a6 ~ a7, and t covered
+    by {a0, a1} and {a0, a2, a5}."""
+    return {
         "objects": ["s", "t"],
-        "morphisms": [{"name": f"a{i}", "dom": "s", "cod": "t"} for i in range(15)],
+        "morphisms": [{"name": f"a{i}", "dom": "s", "cod": "t"} for i in range(n)],
         "edges": [["a3", "a4"], ["a6", "a7"]],
         "covers": {"t": [["a0", "a1"], ["a0", "a2", "a5"]]},
     }
-    site = load_site(doc)
+
+
+def test_induced_laws_pull_back_once_per_quotient_arrow(count_calls):
+    # on the 15-arrow fan the quotient lattice on t has 2^13 + 1 sieves, all
+    # covering. The laws of [τ] are checked on its least covers, one pullback
+    # per arrow; a scan over every cover and every sieve took 114,704 here
+    site = load_site(_fan(15))
     calls = count_calls(sieves, "pullback_sieve")
     induced = induced_topology(site.homotopy, site.topology)
     assert sum(len(v) for v in induced.covers.values()) == 8195
     assert len(calls) <= len(site.homotopy.ho.morphisms) == 15
+
+
+def test_thickening_reads_four_brackets_per_cover(count_calls):
+    # on the 10-arrow fan t has 1,027 base covers; each one's bracket, its
+    # thickening's bracket and the two thickenings are computed once, where
+    # comparing every pair of covers made 1,048,334 bracket_sieve calls
+    site = load_site(_fan(10))
+    h, top = site.homotopy, site.topology
+    induced = induced_topology(h, top)
+    calls = count_calls(induced_mod, "bracket_sieve")
+    results = check_comparison_lemmas(h, top, induced, bound=1)
+    covers = sum(len(top.covers_of(x)) for x in h.base.objects)
+    assert (results[-1].verdict, covers) == ("pass", 1027)
+    assert len(calls) == 4 * covers
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -22,6 +22,7 @@ from hosite import (
     load_site,
     make_presheaf,
     maximal_sieve,
+    random_site,
     run_site_suite,
     serialize_site,
     summarize_population,
@@ -165,6 +166,17 @@ def _thicken_to_empty_and_back(h, j):
     return Sieve(j.root, frozenset() if j.members else frozenset(h.base.arrows_into(j.root)))
 
 
+_THICKEN = induced.thicken_sieve
+
+
+def _thicken_dropping_on_even(h, j):
+    """The real thickening, less the first member it adds, on sieves with an
+    even number of members: covers with one bracket then thicken apart."""
+    jd = _THICKEN(h, j)
+    added = jd.members - j.members
+    return Sieve(jd.root, jd.members - {min(added)}) if added and len(j.members) % 2 == 0 else jd
+
+
 def _transport_to_first_section():
     """Transport that sends every section to the target's first one, so the
     sheafified product no longer pairs onto the product of the sheafifications."""
@@ -277,6 +289,38 @@ def test_forced_failure_is_a_replayable_counterexample(
         cat = site.homotopy.ho if _on_quotient(payload["restrictions"]) else site.category
         pre = make_presheaf(cat, payload["values"], payload["restrictions"])
         assert validate_presheaf(pre, cat), payload
+
+
+@pytest.fixture(scope="module")
+def thickening_sites():
+    """_SITE, fixtures A-E and random sites 0-59, each with its induced topology."""
+    sites = [load_site(_SITE)] + [fixture_site(n) for n in "ABCDE"]
+    sites += [random_site(seed) for seed in range(60)]
+    return [(s.homotopy, s.topology, induced.induced_topology(s.homotopy, s.topology))
+            for s in sites]
+
+
+@pytest.mark.parametrize("thicken, failures", [
+    (_THICKEN, {}),
+    (lambda h, j: j, {"distinct thickened sieves share a bracket": 8}),
+    (_thicken_to_empty_and_back,
+     {"thickening lost members": 62, "thickening is not idempotent": 4}),
+    (_thicken_dropping_on_even,
+     {"distinct thickened sieves share a bracket": 5, "thickening is not idempotent": 1}),
+], ids=["real", "identity", "empty-and-back", "drop-on-even"])
+def test_thickening_agrees_with_the_pair_oracle(thicken, failures, thickening_sites, monkeypatch):
+    # the one pass grouping covers by bracket reports what comparing every
+    # pair of covers reports, the same first failure and counterexample
+    from oracles import thickening_by_pairs
+    monkeypatch.setattr(induced, "thicken_sieve", thicken)
+    seen: dict[str, int] = {}
+    for h, top, ind in thickening_sites:
+        result = induced.check_comparison_lemmas(h, top, ind, bound=1)[-1]
+        assert result.to_dict() == thickening_by_pairs(h, top).to_dict()
+        if result.verdict == "fail":
+            first = result.detail.split(";")[0]
+            seen[first] = seen.get(first, 0) + 1
+    assert seen == failures
 
 
 def test_summarize_population_keeps_first_appearance_order():
