@@ -4,11 +4,12 @@ One depth-first walk sets the non-identity restriction maps slot by slot.
 Given a topology it also decides the sheaf test: each half of the test at a
 least cover reads a fixed set of maps, so it runs once, at the slot that
 sets the last of them (or once per size vector), for the whole subtree.
-Each leaf is a ``SetPresheaf`` view over the walk's own tables, one per size
-vector, valid until the next item; the walk replaces tables and never edits
-one. Callers classify the view with the ordinary presheaf API;
-``reservoir`` copies only the items its sample keeps, and copies share tables.
-Its draws are ``randint``'s own ``getrandbits`` arithmetic, inlined per item.
+A last slot with no contravariance check and no sheaf test to run is free:
+its values are leaves with the prefix's verdict, handed over as one block.
+``leaves`` expands blocks in order on a ``SetPresheaf`` view over the
+walk's own tables, valid until the next item; the walk replaces tables and
+never edits one. ``reservoir`` draws a block in one loop of ``randint``'s
+own ``getrandbits`` arithmetic and copies only the leaves it keeps.
 """
 from __future__ import annotations
 
@@ -24,14 +25,14 @@ from .util import backtrack
 LABELS = ("s0", "s1", "s2", "s3")
 
 
-def walk_presheaves(cat: FiniteCategory, max_card: int, top: GrothendieckTopology | None = None):
+def walk_blocks(cat: FiniteCategory, max_card: int, top: GrothendieckTopology | None = None):
     """All presheaves with every value of cardinality <= max_card, on the
-    canonical labels: per size vector, one ``backtrack`` over the
-    non-identity maps (tables in ``product`` order), checking each
-    contravariance constraint once its participants are set. Yields
-    (pre, sheaf): a view over the walk's tables, valid until the next item
-    (``pre.restrict`` holds every map, identities first), and whether it is
-    a ``top``-sheaf (None without a topology)."""
+    canonical labels: per size vector, one ``backtrack`` over the non-identity
+    maps (tables in ``product`` order) but a free last one, checking each
+    contravariance constraint once its participants are set. Yields blocks
+    (pre, sheaf, last, values): a view with every map but ``last`` set
+    (identities first), whether its leaves are ``top``-sheaves (None without
+    a topology), and the free slot with its tables, or None and (None,)."""
     if not 0 <= max_card <= len(LABELS):
         raise ValueError(f"value bound {max_card} is outside 0..{len(LABELS)}")
     objs = cat.objects
@@ -67,6 +68,8 @@ def walk_presheaves(cat: FiniteCategory, max_card: int, top: GrothendieckTopolog
         sheaf = None if top is None else all(test(pre) for test in per_vector)
         # verdict[i]: the sheaf verdict of the subtree under slot i's value
         verdict = [sheaf] * len(nonid)
+        free = bool(nonid) and not triggers[-1] and not (sheaf and tests[-1])
+        slots, block = (nonid[:-1], (nonid[-1], tables[-1])) if free else (nonid, (None, (None,)))
 
         def ok(i: int) -> bool:
             for g, f, gf, sections in checks[i]:
@@ -81,43 +84,59 @@ def walk_presheaves(cat: FiniteCategory, max_card: int, top: GrothendieckTopolog
             verdict[i] = above
             return True
 
-        for _ in backtrack(nonid, tables.__getitem__, ok, assigned):
-            yield pre, verdict[-1] if nonid else sheaf
+        for _ in backtrack(slots, tables.__getitem__, ok, assigned):
+            yield (pre, verdict[len(slots) - 1] if slots else sheaf, *block)
 
 
-def _build(item) -> SetPresheaf:
-    """A walk item kept past the next one: copies the slot mapping only."""
-    pre = item[0]
-    return SetPresheaf(pre.cat, pre.value, dict(pre.restrict))
+def leaves(blocks: Iterable[tuple]) -> Iterator[tuple[SetPresheaf, bool | None]]:
+    """Each block's (pre, sheaf) leaves: the free slot is set on the view to
+    each value, then removed, so ``pre.restrict`` keeps the walk's key order."""
+    for pre, sheaf, last, values in blocks:
+        if last is None:
+            yield pre, sheaf
+        else:
+            for pre.restrict[last] in values:
+                yield pre, sheaf
+            pre.restrict.pop(last, None)
+
+
+def _build(pre: SetPresheaf, last: str | None, value) -> SetPresheaf:
+    """One leaf of a block kept past the block: copies the slot mapping only."""
+    restrict = {**pre.restrict, last: value} if last else dict(pre.restrict)
+    return SetPresheaf(pre.cat, pre.value, restrict)
 
 
 def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPresheaf]:
     """Every presheaf of the walk, in its order."""
-    yield from map(_build, walk_presheaves(cat, max_card))
+    for pre, _, last, values in walk_blocks(cat, max_card):
+        yield from (_build(pre, last, value) for value in values)
 
 
-def reservoir(walk: Iterable[tuple], k: int, rng: Random, sample: list) -> Iterator[tuple]:
-    """Yield every walk item; once they are exhausted, ``sample`` holds
-    copies of k of them, drawn uniformly: item i >= k takes slot
-    ``rng.randint(0, i)`` if below k, and only the items taken are copied.
-    That draw is inlined as CPython computes it (``getrandbits`` of n = i + 1's
-    bit length, redrawn while >= n): the same stream, three frames fewer."""
+def reservoir(blocks: Iterable[tuple], k: int, rng: Random, sample: list) -> Iterator[tuple]:
+    """Yield every block; once they are exhausted, ``sample`` holds copies
+    of k leaves, drawn uniformly: leaf i >= k takes slot ``rng.randint(0, i)``
+    if below k, inlined as CPython computes it (``getrandbits`` of n = i + 1's
+    bit length, redrawn while >= n). Only the leaves taken are copied."""
     getrandbits = rng.getrandbits
-    for i, item in enumerate(walk):
-        if i < k:
-            sample.append(_build(item))
-        else:
-            j = n = i + 1
+    seen = 0
+    for block in blocks:
+        pre, _, last, values = block
+        for n, value in enumerate(values, seen + 1):
+            if n <= k:
+                sample.append(_build(pre, last, value))
+                continue
+            j = n
             while j >= n:
                 j = getrandbits(n.bit_length())
             if j < k:
-                sample[j] = _build(item)
-        yield item
+                sample[j] = _build(pre, last, value)
+        seen += len(values)
+        yield block
 
 
 def sample_presheaves(cat: FiniteCategory, max_card: int, k: int, rng: Random) -> list[SetPresheaf]:
     """Reservoir-sample k presheaves from the walk, building only those kept."""
     sample: list[SetPresheaf] = []
-    for _ in reservoir(walk_presheaves(cat, max_card), k, rng, sample):
+    for _ in reservoir(walk_blocks(cat, max_card), k, rng, sample):
         pass
     return sample

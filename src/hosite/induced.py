@@ -19,7 +19,7 @@ from random import Random
 from typing import Iterable
 
 from .core import SetPresheaf, iter_hom_presheaves
-from .enumeration import reservoir, walk_presheaves
+from .enumeration import leaves, reservoir, walk_blocks
 from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star, gamma_star_morphism
 from .report import CheckResult
 from .sheafify import classify_presheaf, is_tau_iso, matching_families
@@ -143,7 +143,7 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     witness: dict | None = None
     sample: list[SetPresheaf] = []
     b_fail: CheckResult | None = None
-    for pre, _ in reservoir(walk_presheaves(ho, bound), 10, rng, sample):
+    for pre, _ in leaves(reservoir(walk_blocks(ho, bound), 10, rng, sample)):
         pulled = gamma_star(h, pre)
         cls_ho = classify_presheaf(pre, induced)
         cls_base = classify_presheaf(pulled, top)

@@ -266,17 +266,13 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
         for s in top.covers_of(x):
             for fam in _family_dicts(pre, sieve_plan(cat, s)):
                 pairs[(s, family_key(fam))] = fam
+        # per cover r, the pairs whose sieves hold r are identified by restriction
         uf = UnionFind(pairs)
-        keys = sorted(pairs, key=lambda k: (k[0].sort_key(), k[1]))
-        for i, ka in enumerate(keys):
-            sa, fa = ka[0], pairs[ka]
-            for kb in keys[i + 1:]:
-                sb, fb = kb[0], pairs[kb]
-                common = sa.members & sb.members
-                for r in top.covers[x]:
-                    if r.members <= common and all(fa[f] == fb[f] for f in r.members):
-                        uf.union(ka, kb)
-                        break
+        for r in top.covers[x]:
+            ms, first = sorted(r.members), {}
+            for k, fam in pairs.items():
+                if r.members <= k[0].members:
+                    uf.union(first.setdefault(tuple(fam[f] for f in ms), k), k)
         names = {}
         for root, members in uf.classes().items():
             restr = {family_key({f: pairs[k][f] for f in plans[x].members}) for k in members}

@@ -127,10 +127,14 @@ def load_site(doc: dict) -> SiteDocument:
             raise _err(f"presheaf {name}: unknown key: {extra[0]}")
     raw = normalize_raw(doc)
 
+    if "" in raw["objects"]:
+        raise _err(f"empty object name: objects[{raw['objects'].index('')}]")
     arrows = []
     for m in raw["morphisms"]:
         if set(m) != {"name", "dom", "cod"}:
             raise _err(f"morphism entry needs name/dom/cod: {m!r}")
+        if not m["name"]:
+            raise _err(f"empty morphism name: {m!r}")
         if COMPOSE_SIGN in m["name"]:
             raise _err(f"morphism name contains '{COMPOSE_SIGN}': {m['name']}")
         arrows.append((m["name"], m["dom"], m["cod"]))

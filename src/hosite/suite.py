@@ -13,7 +13,7 @@ from .core import (
     iter_hom_presheaves,
     product_presheaf,
 )
-from .enumeration import reservoir, walk_presheaves
+from .enumeration import leaves, reservoir, walk_blocks
 from .induced import (
     TheoremViolation,
     _presheaf_payload,
@@ -109,9 +109,10 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
     out.append(check_cover_reflecting(h, top, induced))
     out.extend(check_comparison_lemmas(h, top, induced, bound=bound, seed=seed))
     sample: list[SetPresheaf] = []
-    walk = reservoir(walk_presheaves(site.category, bound, top), ENGINE_SAMPLES,
+    walk = reservoir(walk_blocks(site.category, bound, top), ENGINE_SAMPLES,
                      Random(seed + 1), sample)
-    out.append(check_sheaf_transfer(h, induced, map(itemgetter(0), filter(itemgetter(1), walk))))
+    base_sheaves = leaves(filter(itemgetter(1), walk))
+    out.append(check_sheaf_transfer(h, induced, map(itemgetter(0), base_sheaves)))
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

@@ -23,11 +23,14 @@ tuple-and-count test is checked. Associativity of a partial composition
 table is decided here by a rescan of every triple, against which the
 random-site generator's per-slot check is checked at every node of its
 search. The connected components of the homotopy edges are computed here,
-against which the fibres of gamma are checked. Three searches keep their
+against which the fibres of gamma are checked. Four searches keep their
 old shape here as order oracles: the hom search branching per object over
 whole component tables, against which the per-section search is checked for
-the same sequence; the reservoir drawing by ``rng.randint``, against which
-the inlined draw is checked for the same samples and the same rng state;
+the same sequence; the presheaf walk setting every slot and yielding one
+leaf at a time, against which the walk in blocks, expanded, is checked for
+the same leaves, maps in the same order, and verdicts; the reservoir drawing
+by ``rng.randint`` leaf by leaf, against which the inlined draw per block
+is checked for the same samples and the same rng state;
 and the random-site composite search on a table keyed by arrow names,
 against which the search on integer codes is checked for the same table,
 node count and rng state.
@@ -63,10 +66,10 @@ from hosite import (
     yoneda,
 )
 from hosite.core import PASS, _fail
-from hosite.enumeration import _build
+from hosite.enumeration import LABELS
 from hosite.homotopy import HomotopyCategoryData
 from hosite.randomsites import _NODE_BUDGET
-from hosite.sheafify import _family_dicts, canonical_family, family_key
+from hosite.sheafify import _family_dicts, canonical_family, family_key, sheaf_tests
 from hosite.sieves import sieve_plan
 from hosite.util import UnionFind, backtrack
 
@@ -126,15 +129,66 @@ def iter_hom_by_object(u, f):
         yield PresheafMorphism(u, f, {o: dict(c) for o, c in found.items()})
 
 
+def walk_by_leaf(cat, max_card, top=None):
+    """The presheaf walk yielding one (pre, sheaf) leaf at a time: per size
+    vector, one ``backtrack`` over every non-identity map, its last slot
+    included, each contravariance constraint and sheaf test checked at the
+    slot that sets the last map it reads."""
+    objs = cat.objects
+    nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
+    midx = {m: i for i, m in enumerate(nonid)}
+    triggers: list[list] = [[] for _ in nonid]
+    for g in nonid:
+        for f in nonid:
+            if cat.composable(g, f):
+                gf = cat.composition[(g, f)]
+                triggers[max(midx[g], midx[f], midx.get(gf, -1))].append((g, f, gf))
+    tests: list[list] = [[] for _ in nonid]
+    per_vector: list = []
+    for reads, test in sheaf_tests(top) if top is not None else ():
+        slot = max((midx[m] for m in reads), default=-1)
+        (tests[slot] if slot >= 0 else per_vector).append(test)
+
+    for sizes in product(range(max_card + 1), repeat=len(objs)):
+        value = {o: tuple(LABELS[:k]) for o, k in zip(objs, sizes)}
+        tables = []
+        for m in nonid:
+            src = value[cat.cod[m]]
+            tables.append([dict(zip(src, c)) for c in product(value[cat.dom[m]], repeat=len(src))])
+        checks = [[(g, f, gf, value[cat.cod[g]]) for g, f, gf in t] for t in triggers]
+        assigned = {cat.identity[o]: {s: s for s in value[o]} for o in objs}
+        pre = SetPresheaf(cat, value, assigned)
+        sheaf = None if top is None else all(test(pre) for test in per_vector)
+        verdict = [sheaf] * len(nonid)
+
+        def ok(i):
+            for g, f, gf, sections in checks[i]:
+                rg, rf, rgf = assigned[g], assigned[f], assigned[gf]
+                for s in sections:
+                    if rgf[s] != rf[rg[s]]:
+                        return False
+            above = verdict[i - 1] if i else sheaf
+            if above and tests[i]:
+                above = all(test(pre) for test in tests[i])
+            verdict[i] = above
+            return True
+
+        for _ in backtrack(nonid, tables.__getitem__, ok, assigned):
+            yield pre, verdict[-1] if nonid else sheaf
+
+
 def reservoir_by_randint(walk, k, rng, sample):
-    """The reservoir with its draw as the call ``rng.randint(0, i)``."""
+    """The per-leaf reservoir with its draw as the call ``rng.randint(0, i)``."""
+    def build(pre):
+        return SetPresheaf(pre.cat, pre.value, dict(pre.restrict))
+
     for i, item in enumerate(walk):
         if i < k:
-            sample.append(_build(item))
+            sample.append(build(item[0]))
         else:
             j = rng.randint(0, i)
             if j < k:
-                sample[j] = _build(item)
+                sample[j] = build(item[0])
         yield item
 
 

@@ -354,6 +354,21 @@ def test_repeated_key_is_load_error(tmp_path, text, key):
     assert out == "" and err == f"load error: repeated key: {key}\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"objects": ["x", ""]}, "empty object name: objects[1]"),
+    ({"objects": ["x", "y"], "morphisms": [{"name": "", "dom": "x", "cod": "y"}]},
+     "empty morphism name: {'name': '', 'dom': 'x', 'cod': 'y'}"),
+], ids=["object", "morphism"])
+def test_empty_name_is_load_error(tmp_path, doc, message):
+    # an empty name cannot be written as a --sieve generator and prints as an
+    # empty slot in a member list
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(bad)])
+    assert code == 1
+    assert out == "" and err == f"load error: {message}\n"
+
+
 @pytest.mark.parametrize("path, value, named", [
     (("objects",), ["x", "y", "y"], "y"),
     (("morphisms", 0, "dom"), "w", "f1"),

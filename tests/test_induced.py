@@ -30,7 +30,7 @@ from hosite import (
 )
 import hosite.induced as induced_mod
 import hosite.sieves as sieves
-from hosite.enumeration import enumerate_presheaves, walk_presheaves
+from hosite.enumeration import enumerate_presheaves, leaves, walk_blocks
 from hosite.induced import TheoremViolation
 from oracles import least_covers, validate_cover_sets
 
@@ -230,7 +230,7 @@ def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, mon
         h, top = site.homotopy, site.topology
         induced = induced_topology(h, top)
         seen.clear()
-        sheaves = (pre for pre, sheaf in walk_presheaves(h.base, bound, top) if sheaf)
+        sheaves = (pre for pre, sheaf in leaves(walk_blocks(h.base, bound, top)) if sheaf)
         result = check_sheaf_transfer(h, induced, sheaves)
         expected = [is_sheaf(gamma_lower_star(h, pre), induced)
                     for pre in enumerate_presheaves(h.base, bound) if is_sheaf(pre, top)]

@@ -7,16 +7,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import product
+from itertools import product, zip_longest
 from random import Random
 
 import pytest
 
 import hosite.core as core
-from hosite import constant_presheaf, hom_presheaves, matching_families, run_site_suite, yoneda
-from hosite.enumeration import enumerate_presheaves, reservoir, sample_presheaves, walk_presheaves
+import hosite.enumeration as enumeration
+from hosite import constant_presheaf, hom_presheaves, matching_families, random_site, run_site_suite, yoneda
+from hosite.enumeration import enumerate_presheaves, leaves, reservoir, sample_presheaves, walk_blocks
 from hosite.util import backtrack
-from oracles import iter_hom_by_object, reservoir_by_randint
+from oracles import iter_hom_by_object, reservoir_by_randint, walk_by_leaf
 
 
 def _digest(lines) -> str:
@@ -125,9 +126,8 @@ def test_hom_order_matches_per_object_search(all_sites, random_sites):
     assert list(hom_sequence(pairs)) == list(hom_sequence(pairs, iter_hom_by_object))
 
 
-def test_hom_values_tried_frozen(site_b, monkeypatch):
-    # values offered to the hom search's slots over one wide-value suite;
-    # the per-object search tried 70,579 whole component tables here
+def _values_tried(module, site, bound, monkeypatch) -> int:
+    """Values offered to the slots of ``module``'s searches over one suite."""
     tried = 0
 
     def counting(keys, choices, ok, cur):
@@ -137,25 +137,71 @@ def test_hom_values_tried_frozen(site_b, monkeypatch):
             return ok(i)
         return backtrack(keys, choices, counted, cur)
 
-    monkeypatch.setattr(core, "backtrack", counting)
-    run_site_suite(site_b, bound=4, seed=0)
-    assert tried == 2185
+    monkeypatch.setattr(module, "backtrack", counting)
+    run_site_suite(site, bound=bound, seed=0)
+    return tried
+
+
+def test_hom_values_tried_frozen(site_b, monkeypatch):
+    # over one wide-value suite; the per-object search tried 70,579 whole
+    # component tables here
+    assert _values_tried(core, site_b, 4, monkeypatch) == 2185
+
+
+def test_walk_values_tried_frozen(site_b, monkeypatch):
+    # both walks of one wide-value suite, base and quotient; a walk that set
+    # the free last slot through backtrack tried 78,631 values here
+    assert _values_tried(enumeration, site_b, 4, monkeypatch) == 757
+
+
+def _leaf_sequence(walk):
+    for pre, sheaf in walk:
+        yield list(pre.restrict.items()), sheaf
+
+
+def test_walk_in_blocks_matches_leaf_walk(all_sites, random_sites):
+    # the same leaves, maps in the same order, and the same verdicts as the
+    # walk setting every slot; base walks with the site's topology, quotient
+    # walks with none, as the suite runs them
+    sites = [*all_sites.values(), *random_sites, *map(random_site, range(50, 60))]
+    cases = [(site.category, 2, site.topology) for site in sites]
+    cases += [(site.homotopy.ho, 2, None) for site in sites]
+    cases += [(all_sites[name].category, 3, all_sites[name].topology) for name in "BDE"]
+    cases.append((all_sites["B"].category, 4, all_sites["B"].topology))
+    sizes: list[int] = []
+    for cat, bound, top in cases:
+        walk = walk_blocks(cat, bound, top)
+        if bound == 4:
+            # a block's view is valid only until the next block: record sizes
+            walk = (sizes.append(len(block[3])) or block for block in walk)
+        expected = _leaf_sequence(walk_by_leaf(cat, bound, top))
+        for leaf_count, (got, want) in enumerate(zip_longest(_leaf_sequence(leaves(walk)), expected), 1):
+            assert got == want
+    assert (len(sizes), sum(sizes), leaf_count) == (739, 77_633, 77_633)
 
 
 def test_reservoir_draws_as_randint(site_b):
     # B at bound 4 has 77,633 leaves, so i reaches every bit length up to 17;
-    # the reservoirs are stacked on one walk, each copying at its own draws
-    walk = walk_presheaves(site_b.category, 4)
-    runs = []
-    for k in (1, 3, 10):
-        for seed in range(3):
-            run = (Random(seed), [], Random(seed), [])
-            walk = reservoir(reservoir_by_randint(walk, k, run[2], run[3]), k, run[0], run[1])
-            runs.append(run)
-    assert sum(1 for _ in walk) == 77_633
-    for rng, sample, oracle_rng, oracle_sample in runs:
-        assert list(presheaf_sequence(sample)) == list(presheaf_sequence(oracle_sample))
-        assert rng.getstate() == oracle_rng.getstate()
+    # the block reservoirs are stacked on one walk and the randint oracles on
+    # its leaves, each copying at its own draws. Streams one draw apart fall
+    # back into step through the redraws, so the 25 leaves at bound 2 are
+    # checked as well
+    for bound, count in ((2, 25), (4, 77_633)):
+        blocks = walk_blocks(site_b.category, bound)
+        runs = []
+        for k in (1, 3, 10):
+            for seed in range(3):
+                runs.append((k, Random(seed), [], Random(seed), []))
+                blocks = reservoir(blocks, k, runs[-1][1], runs[-1][2])
+        walk = leaves(blocks)
+        for k, _, _, oracle_rng, oracle_sample in runs:
+            walk = reservoir_by_randint(walk, k, oracle_rng, oracle_sample)
+        assert sum(1 for _ in walk) == count
+        for k, rng, sample, oracle_rng, oracle_sample in runs:
+            assert len(sample) == k
+            assert [list(p.restrict.items()) for p in sample] == [list(p.restrict.items()) for p in oracle_sample]
+            assert list(presheaf_sequence(sample)) == list(presheaf_sequence(oracle_sample))
+            assert rng.getstate() == oracle_rng.getstate()
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))

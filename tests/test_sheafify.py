@@ -31,7 +31,7 @@ from hosite import (
     validate_presheaf,
     yoneda,
 )
-from hosite.enumeration import enumerate_presheaves, sample_presheaves, walk_presheaves
+from hosite.enumeration import enumerate_presheaves, leaves, sample_presheaves, walk_blocks
 from oracles import (
     assert_classification_agrees,
     classify_by_families,
@@ -153,7 +153,7 @@ def test_walk_verdict_agrees_with_is_sheaf(all_sites, random_sites):
     cases += [(all_sites[name], 3) for name in "BDE"] + [(all_sites["B"], 4)]
     for site, bound in cases:
         cat, top = site.category, site.topology
-        walked = [sheaf for _, sheaf in walk_presheaves(cat, bound, top)]
+        walked = [sheaf for _, sheaf in leaves(walk_blocks(cat, bound, top))]
         assert walked == [is_sheaf(pre, top) for pre in enumerate_presheaves(cat, bound)]
     assert len(walked) == 77633 and sum(walked) == 26
 

@@ -29,7 +29,7 @@ from hosite import (
     validate_presheaf,
 )
 from hosite.cli import main
-from hosite.enumeration import sample_presheaves, walk_presheaves
+from hosite.enumeration import leaves, sample_presheaves, walk_blocks
 from hosite.suite import ENGINE_SAMPLES
 
 # the package exports the function sheafify under the module's name
@@ -39,7 +39,7 @@ sheafify_mod = importlib.import_module("hosite.sheafify")
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
 def test_each_category_enumerated_once(name, count_calls):
     site = fixture_site(name)
-    calls = count_calls(enumeration, "walk_presheaves")
+    calls = count_calls(enumeration, "walk_blocks")
     assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
     cats = [args[0] for args in calls]
     assert len(cats) == 2
@@ -69,8 +69,8 @@ def test_suite_classifies_through_the_public_classifier(name, count_calls):
     site = fixture_site(name)
     h, top = site.homotopy, site.topology
     induced_top = induced.induced_topology(h, top)
-    leaves = sum(1 for _ in walk_presheaves(h.ho, 2))
-    sheaves = sum(1 for _, sheaf in walk_presheaves(h.base, 2, top) if sheaf)
+    quotient_leaves = sum(1 for _ in leaves(walk_blocks(h.ho, 2)))
+    sheaves = sum(1 for _, sheaf in leaves(walk_blocks(h.base, 2, top)) if sheaf)
     images = sheaves if induced_top._sheaf_plans else 0
     classified = count_calls(sheafify_mod, "classify_presheaf")
     pulled = count_calls(homotopy, "gamma_star")
@@ -78,8 +78,8 @@ def test_suite_classifies_through_the_public_classifier(name, count_calls):
     engine_calls = count_calls(suite, "engine_checks")
     assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
     [(_, pres)] = engine_calls
-    assert len(classified) == 2 * leaves + images + len(pres)
-    assert len(pulled) == leaves + 2 * len(morphisms)
+    assert len(classified) == 2 * quotient_leaves + images + len(pres)
+    assert len(pulled) == quotient_leaves + 2 * len(morphisms)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
