@@ -8,8 +8,9 @@ A last slot with no contravariance check and no sheaf test to run is free:
 its values are leaves with the prefix's verdict, handed over as one block.
 ``leaves`` expands blocks in order on a ``SetPresheaf`` view over the
 walk's own tables, valid until the next item; the walk replaces tables and
-never edits one. ``reservoir`` draws a block in one loop of ``randint``'s
-own ``getrandbits`` arithmetic and copies only the leaves it keeps.
+never edits one. ``reservoir`` draws a block in runs of one bit length
+with ``randint``'s own ``getrandbits`` arithmetic and copies only the leaves
+it keeps.
 """
 from __future__ import annotations
 
@@ -116,21 +117,27 @@ def reservoir(blocks: Iterable[tuple], k: int, rng: Random, sample: list) -> Ite
     """Yield every block; once they are exhausted, ``sample`` holds copies
     of k leaves, drawn uniformly: leaf i >= k takes slot ``rng.randint(0, i)``
     if below k, inlined as CPython computes it (``getrandbits`` of n = i + 1's
-    bit length, redrawn while >= n). Only the leaves taken are copied."""
+    bit length, redrawn while >= n), with n walked in runs of one bit length.
+    Only the leaves taken are read and copied."""
     getrandbits = rng.getrandbits
-    seen = 0
+    n, bits, top = 1, 0, 1  # the next leaf's n; the run's bit length, and 1 << it
     for block in blocks:
         pre, _, last, values = block
-        for n, value in enumerate(values, seen + 1):
-            if n <= k:
-                sample.append(_build(pre, last, value))
-                continue
-            j = n
-            while j >= n:
-                j = getrandbits(n.bit_length())
-            if j < k:
-                sample[j] = _build(pre, last, value)
-        seen += len(values)
+        first, stop = n, n + len(values)
+        while n <= k and n < stop:
+            sample.append(_build(pre, last, values[n - first]))
+            n += 1
+        while n < stop:
+            if n >= top:
+                bits = n.bit_length()
+                top = 1 << bits
+            for n in range(n, stop if stop < top else top):
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                if j < k:
+                    sample[j] = _build(pre, last, values[n - first])
+            n += 1
         yield block
 
 

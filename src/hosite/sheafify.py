@@ -12,8 +12,12 @@ maps they read, so the walk decides each where its last map is set.
 The plus-construction is the filtered colimit, over covering sieves ordered
 by reverse inclusion, of matching families; that poset has the least cover as
 its maximum, so the colimit is computed there: classes are named by their
-restriction to it and compared literally. ``plus_construction_via_colimit``
-keeps the general construction alive as an independent oracle. ``is_tau_iso``
+restriction to it. Each family over a least cover is named once, by
+``family_key``, into an index from its sections (in plan order) to its name;
+restriction maps, the unit and transported morphisms read names through the
+index, and an image that misses it means the morphism was not natural.
+``plus_construction_via_colimit`` keeps the general construction alive as
+an independent oracle, with its own ``family_key`` naming. ``is_tau_iso``
 is the local-isomorphism test: m: F -> G sheafifies to an iso iff, with J the
 least cover of each x, every G(f)t for t in G(x), f in J lies in the image of
 m, and sections of F(x) with the same image agree along every f in J. Its
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
 from .sieves import GrothendieckTopology, Sieve, SievePlan, pullback_sieve, sieve_plan
@@ -70,11 +75,6 @@ def matching_families(pre: SetPresheaf, s: Sieve) -> tuple[MatchingFamily, ...]:
         raise ValueError(f"unknown object id: {s.root}")
     fams = _family_dicts(pre, sieve_plan(pre.cat, s))
     return tuple(MatchingFamily(s, tuple(sorted(f.items()))) for f in fams)
-
-
-def canonical_family(pre: SetPresheaf, s: Sieve, section: str) -> dict[str, str]:
-    """The family induced by restricting a section along every member."""
-    return {f: pre.restrict[f][section] for f in s.members}
 
 
 @dataclass(frozen=True)
@@ -138,48 +138,59 @@ def is_sheaf(pre: SetPresheaf, top: GrothendieckTopology) -> bool:
     return classify_presheaf(pre, top).is_sheaf
 
 
-@dataclass(frozen=True)
-class _PlusData:
+class _PlusData(NamedTuple):
     presheaf: SetPresheaf
     unit: PresheafMorphism
-    families: dict[str, dict[str, dict[str, str]]]  # object -> element id -> family
+    plans: dict[str, SievePlan]  # object -> its least cover's plan
+    # object -> family, as sections in plan.members order -> element id
+    names: dict[str, dict[tuple[str, ...], str]]
 
 
 def _plus(pre: SetPresheaf, top: GrothendieckTopology) -> _PlusData:
     cat = pre.cat
     plans = top._cover_plan
-    families: dict[str, dict[str, dict[str, str]]] = {}
+    names: dict[str, dict[tuple[str, ...], str]] = {}
     value: dict[str, tuple[str, ...]] = {}
+    unit: dict[str, dict[str, str]] = {}
     for x in cat.objects:
-        fams = {family_key(f): f for f in _family_dicts(pre, plans[x])}
-        families[x] = fams
-        value[x] = tuple(sorted(fams))
+        # backtrack keys each family in plan.members order
+        index = {tuple(fam.values()): family_key(fam) for fam in _families(pre, plans[x])}
+        names[x] = index
+        value[x] = tuple(sorted(index.values()))
+        tables = [pre.restrict[f] for f in plans[x].members]
+        unit[x] = {s: index[tuple([t[s] for t in tables])] for s in pre.value[x]}
     restrict: dict[str, dict[str, str]] = {}
     for h in cat.morphisms:
         y, x = cat.dom[h], cat.cod[h]
         if cat.is_identity(h):
             restrict[h] = {e: e for e in value[x]}
             continue
-        table = {}
-        for e, fam in families[x].items():
-            # minimal(y) is contained in the pullback of minimal(x) along h
-            table[e] = family_key({g: fam[cat.compose(h, g)] for g in plans[y].members})
-        restrict[h] = table
+        # minimal(y) is contained in the pullback of minimal(x) along h
+        pos = {f: i for i, f in enumerate(plans[x].members)}
+        at = [pos[cat.compose(h, g)] for g in plans[y].members]
+        into = names[y]
+        restrict[h] = {e: into[tuple([secs[i] for i in at])] for secs, e in names[x].items()}
     plus = SetPresheaf(cat, value, restrict)
-    unit = PresheafMorphism(pre, plus, {
-        x: {s: family_key(canonical_family(pre, plans[x].sieve, s)) for s in pre.value[x]}
-        for x in cat.objects
-    })
-    return _PlusData(plus, unit, families)
+    return _PlusData(plus, PresheafMorphism(pre, plus, unit), plans, names)
 
 
 def _plus_morphism(m: PresheafMorphism, src: _PlusData, tgt: _PlusData) -> PresheafMorphism:
-    cat = m.source.cat
+    """m+ sends the class of a family to the class of its image, looked up
+    in the target's index; an image that is no target family means m is
+    not natural."""
     comps = {}
-    for x in cat.objects:
+    for x, index in src.names.items():
+        plan, into = src.plans[x], tgt.names[x]
+        at = [m.components[d] for d in plan.doms]
         table = {}
-        for e, fam in src.families[x].items():
-            table[e] = family_key({f: m.components[cat.dom[f]][s] for f, s in fam.items()})
+        for secs, e in index.items():
+            image = tuple([c[s] for c, s in zip(at, secs)])
+            name = into.get(image)
+            if name is None:
+                name = family_key(dict(zip(plan.members, image)))
+                raise ValueError(f"section {name!r} at {x} is missing from the target's "
+                                 "plus-construction: the morphism is not natural")
+            table[e] = name
         comps[x] = table
     return PresheafMorphism(src.presheaf, tgt.presheaf, comps)
 

@@ -19,7 +19,11 @@ which the package's one pass grouping the covers by bracket is checked for
 the same result under the real thickening and under broken ones. The sheaf
 condition is decided here by comparing the string keys of the canonical
 families with those of every matching family, against which the package's
-tuple-and-count test is checked. Associativity of a partial composition
+tuple-and-count test is checked. The plus-construction names every family
+here by its string key wherever it meets one, on restriction maps, units
+and transported morphisms, against which the package's one name per family,
+read through an index, is checked for the same presheaves and morphisms,
+key order included. Associativity of a partial composition
 table is decided here by a rescan of every triple, against which the
 random-site generator's per-slot check is checked at every node of its
 search. The connected components of the homotopy edges are computed here,
@@ -50,6 +54,7 @@ from hosite import (
     TauIsoResult,
     ValidationReport,
     classify_presheaf,
+    compose_morphisms,
     componentwise_bijection,
     format_sieve,
     gamma_star,
@@ -69,7 +74,7 @@ from hosite.core import PASS, _fail
 from hosite.enumeration import LABELS
 from hosite.homotopy import HomotopyCategoryData
 from hosite.randomsites import _NODE_BUDGET
-from hosite.sheafify import _family_dicts, canonical_family, family_key, sheaf_tests
+from hosite.sheafify import _family_dicts, family_key, sheaf_tests
 from hosite.sieves import sieve_plan
 from hosite.util import UnionFind, backtrack
 
@@ -499,6 +504,11 @@ def thickening_by_pairs(h: HomotopyCategoryData, top: GrothendieckTopology) -> C
         "thickening", "pass", f"{cases} covers checked", data={"cases": cases})
 
 
+def canonical_family(pre: SetPresheaf, s: Sieve, section: str) -> dict[str, str]:
+    """The family induced by restricting a section along every member."""
+    return {f: pre.restrict[f][section] for f in s.members}
+
+
 def sheaf_condition_by_families(pre: SetPresheaf, top: GrothendieckTopology):
     """Per object with its minimal covering sieve, skipping maximal ones:
     (x, sieve, injective, bijective) for the canonical map from sections of
@@ -531,6 +541,56 @@ def classify_by_families(pre: SetPresheaf, top: GrothendieckTopology) -> Classif
     if first_nonbij is not None:
         return Classification("separated-not-sheaf", first_nonbij)
     return Classification("sheaf")
+
+
+def plus_by_family_keys(pre: SetPresheaf, top: GrothendieckTopology):
+    """The plus-construction naming every family by its string key wherever
+    it is met: (P+, unit, object -> name -> family)."""
+    cat = pre.cat
+    plans = top._cover_plan
+    families: dict[str, dict[str, dict[str, str]]] = {}
+    value: dict[str, tuple[str, ...]] = {}
+    for x in cat.objects:
+        fams = {family_key(f): f for f in _family_dicts(pre, plans[x])}
+        families[x] = fams
+        value[x] = tuple(sorted(fams))
+    restrict: dict[str, dict[str, str]] = {}
+    for h in cat.morphisms:
+        y, x = cat.dom[h], cat.cod[h]
+        if cat.is_identity(h):
+            restrict[h] = {e: e for e in value[x]}
+            continue
+        restrict[h] = {e: family_key({g: fam[cat.compose(h, g)] for g in plans[y].members})
+                       for e, fam in families[x].items()}
+    plus = SetPresheaf(cat, value, restrict)
+    unit = PresheafMorphism(pre, plus, {
+        x: {s: family_key(canonical_family(pre, plans[x].sieve, s)) for s in pre.value[x]}
+        for x in cat.objects
+    })
+    return plus, unit, families
+
+
+def plus_morphism_by_family_keys(m: PresheafMorphism, src, tgt) -> PresheafMorphism:
+    """m+ between two ``plus_by_family_keys`` results, naming each image
+    family by its key."""
+    cat = m.source.cat
+    comps = {x: {e: family_key({f: m.components[cat.dom[f]][s] for f, s in fam.items()})
+                 for e, fam in src[2][x].items()}
+             for x in cat.objects}
+    return PresheafMorphism(src[0], tgt[0], comps)
+
+
+def sheafify_by_family_keys(pre: SetPresheaf, top: GrothendieckTopology):
+    """(P++, composite unit, (P+ step, P++ step)) by ``plus_by_family_keys``."""
+    d1 = plus_by_family_keys(pre, top)
+    d2 = plus_by_family_keys(d1[0], top)
+    return d2[0], compose_morphisms(d2[1], d1[1]), (d1, d2)
+
+
+def transport_by_family_keys(m: PresheafMorphism, source, target) -> PresheafMorphism:
+    """``transport_morphism`` between two ``sheafify_by_family_keys`` results."""
+    m1 = plus_morphism_by_family_keys(m, source[2][0], target[2][0])
+    return plus_morphism_by_family_keys(m1, source[2][1], target[2][1])
 
 
 def associative_so_far(table, pairs, names) -> bool:

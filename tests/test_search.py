@@ -14,7 +14,7 @@ import pytest
 
 import hosite.core as core
 import hosite.enumeration as enumeration
-from hosite import constant_presheaf, hom_presheaves, matching_families, random_site, run_site_suite, yoneda
+from hosite import SetPresheaf, constant_presheaf, hom_presheaves, matching_families, random_site, run_site_suite, yoneda
 from hosite.enumeration import enumerate_presheaves, leaves, reservoir, sample_presheaves, walk_blocks
 from hosite.util import backtrack
 from oracles import iter_hom_by_object, reservoir_by_randint, walk_by_leaf
@@ -202,6 +202,49 @@ def test_reservoir_draws_as_randint(site_b):
             assert [list(p.restrict.items()) for p in sample] == [list(p.restrict.items()) for p in oracle_sample]
             assert list(presheaf_sequence(sample)) == list(presheaf_sequence(oracle_sample))
             assert rng.getstate() == oracle_rng.getstate()
+
+
+def _assert_reservoir_as_randint(blocks, k, seed):
+    """One block reservoir against the randint oracle on the same leaves:
+    the same copies, key order included, and the same rng state."""
+    rng, sample, oracle_rng, oracle_sample = Random(seed), [], Random(seed), []
+    walk = leaves(reservoir(blocks, k, rng, sample))
+    count = sum(1 for _ in reservoir_by_randint(walk, k, oracle_rng, oracle_sample))
+    assert len(sample) == min(k, count)
+    assert [list(p.restrict.items()) for p in sample] == [list(p.restrict.items()) for p in oracle_sample]
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def _sized_blocks(cat, sizes):
+    """Blocks of the given sizes on one view, the free slot taking a fresh
+    table per leaf."""
+    pre, n = SetPresheaf(cat, {}, {"id": {}}), 0
+    for size in sizes:
+        yield pre, None, "f", [{"s0": f"s{i}"} for i in range(n, n + size)]
+        n += size
+
+
+@pytest.mark.parametrize("sizes, k", [
+    ((0, 2, 0, 0, 3, 0), 3),  # empty blocks, first and last among them
+    ((2, 5, 1), 3),  # the second block straddles k
+    ((3, 29), 1),  # leaf numbers 4..32 cross 8, 16 and 32 inside one block
+    ((7, 1, 8, 17), 2),  # blocks starting at 8, ending at 16, crossing 32
+    ((1, 0, 2), 10),  # fewer leaves than k
+    ((4,), 4),
+    ((3, 4), 0),
+])
+def test_reservoir_block_boundaries(site_b, sizes, k):
+    for seed in range(5):
+        _assert_reservoir_as_randint(_sized_blocks(site_b.category, sizes), k, seed)
+
+
+def test_reservoir_over_empty_blocks(site_d):
+    # D's walks hand over free slots with no tables, at bound 2 and 3
+    for bound in (2, 3):
+        assert any(not block[3] for block in walk_blocks(site_d.category, bound))
+        for k in (1, 3, 10):
+            for seed in range(3):
+                _assert_reservoir_as_randint(walk_blocks(site_d.category, bound), k, seed)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))

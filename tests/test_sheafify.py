@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import re
+from itertools import islice, pairwise, product
 from random import Random
 
 import pytest
 
 from hosite import (
+    PresheafMorphism,
+    SetPresheaf,
     Sieve,
     all_sieves,
     classify_presheaf,
@@ -12,6 +16,7 @@ from hosite import (
     componentwise_bijection,
     constant_presheaf,
     empty_presheaf,
+    equalizer_presheaf,
     gamma_star_morphism,
     generate_sieve,
     hom_presheaves,
@@ -23,20 +28,28 @@ from hosite import (
     maximal_sieve,
     plus_construction,
     plus_construction_via_colimit,
+    product_presheaf,
+    random_site,
     sheafify,
     sheafify_morphism,
     sieve_inclusion,
     sieve_presheaf,
     trivial_topology,
     validate_presheaf,
+    validate_presheaf_morphism,
     yoneda,
 )
+from hosite.core import iter_hom_presheaves
 from hosite.enumeration import enumerate_presheaves, leaves, sample_presheaves, walk_blocks
+from hosite.sheafify import transport_morphism
+from hosite.suite import ENGINE_SAMPLES
 from oracles import (
     assert_classification_agrees,
     classify_by_families,
     is_tau_iso_by_sheafification,
     matching_families_product,
+    sheafify_by_family_keys,
+    transport_by_family_keys,
 )
 
 
@@ -299,8 +312,104 @@ def test_sheafify_morphism_natural(site_b):
     y = yoneda(site_b.category, "y")
     for m in hom_presheaves(y, k2):
         sm = sheafify_morphism(m, top)
-        from hosite import validate_presheaf_morphism
         assert validate_presheaf_morphism(sm)
+
+
+def test_sheafify_morphism_rejects_non_natural(site_e):
+    # random component tables between the samples: a natural one sheafifies
+    # to a natural one; any other sends a family to no section of the
+    # target's plus-construction, which is named with its object
+    cat, top = site_e.category, site_e.topology
+    samples = sample_presheaves(cat, 2, 6, Random(0))
+    rng = Random(0)
+    natural = rejected = 0
+    for f, g in product(samples, repeat=2):
+        if any(f.value[o] and not g.value[o] for o in cat.objects):
+            continue
+        target = sheafify(g, top)
+        for _ in range(20):
+            m = PresheafMorphism(f, g, {o: {s: rng.choice(g.value[o]) for s in f.value[o]}
+                                        for o in cat.objects})
+            if validate_presheaf_morphism(m):
+                assert validate_presheaf_morphism(sheafify_morphism(m, top))
+                natural += 1
+                continue
+            with pytest.raises(ValueError, match="the morphism is not natural") as info:
+                sheafify_morphism(m, top)
+            section, x = re.match(r"section '(.*)' at (\w+) is missing", str(info.value)).groups()
+            assert all(section not in step.presheaf.value[x] for step in target.steps)
+            rejected += 1
+    assert (natural, rejected) == (301, 119)
+
+
+def _ordered(obj):
+    """A presheaf or morphism as nested item lists, so dict key order counts."""
+    if isinstance(obj, PresheafMorphism):
+        return _ordered(obj.source), _ordered(obj.target), _ordered(obj.components)
+    if isinstance(obj, dict):
+        return [(k, _ordered(v)) for k, v in obj.items()]
+    if isinstance(obj, SetPresheaf):
+        return _ordered(obj.value), _ordered(obj.restrict)
+    return obj
+
+
+def _engine_inputs(site, bound, seed):
+    """The engine battery's presheaves on one suite run, and per adjacent
+    pair its product with projections and, given two parallel maps, their
+    equalizer with its inclusion."""
+    pres = sample_presheaves(site.category, bound, ENGINE_SAMPLES, Random(seed + 1))
+    pres += [site.presheaves[n] for n in sorted(site.presheaves)]
+    pairs = []
+    for f, g in pairwise(pres):
+        prod, p1, p2 = product_presheaf(f, g)
+        parallel = list(islice(iter_hom_presheaves(f, g), 2))
+        pairs.append((f, g, prod, p1, p2, parallel, equalizer_presheaf(*parallel) if parallel[1:] else None))
+    return pres, pairs
+
+
+def test_plus_by_index_agrees_with_family_keys(all_sites, random_sites):
+    # the engine's inputs of A-E and random sites 0-59 at bound 2 and of B
+    # at bound 4: equal sheaves, units, plus steps and transported
+    # morphisms, dict key order included
+    cases = [(site, 2, 0) for site in all_sites.values()]
+    cases += [(site, 2, seed) for seed, site in enumerate(random_sites)]
+    cases += [(random_site(seed), 2, seed) for seed in range(len(random_sites), 60)]
+    cases.append((all_sites["B"], 4, 0))
+    sheafified = transports = 0
+    for site, bound, seed in cases:
+        top = site.topology
+        pres, pairs = _engine_inputs(site, bound, seed)
+        by_index, by_keys = {}, {}
+
+        def both(pre):
+            key = id(pre)
+            if key not in by_index:
+                got, want = sheafify(pre, top), sheafify_by_family_keys(pre, top)
+                assert _ordered(got.sheaf) == _ordered(want[0])
+                assert _ordered(got.unit) == _ordered(want[1])
+                for step, (plus, unit, _) in zip(got.steps, want[2]):
+                    assert _ordered(step.presheaf) == _ordered(plus)
+                    assert _ordered(step.unit) == _ordered(unit)
+                by_index[key], by_keys[key] = got, want
+            return by_index[key], by_keys[key]
+
+        def transported(m, src, tgt):
+            nonlocal transports
+            transports += 1
+            (s1, s2), (t1, t2) = both(src), both(tgt)
+            assert _ordered(transport_morphism(m, s1, t1)) == _ordered(transport_by_family_keys(m, s2, t2))
+
+        for pre in pres:
+            both(pre)
+        for f, g, prod, p1, p2, parallel, equalizer in pairs:
+            transported(p1, prod, f)
+            transported(p2, prod, g)
+            for m in parallel:
+                transported(m, f, g)
+            if equalizer is not None:
+                transported(equalizer[1], equalizer[0], f)
+        sheafified += len(by_index)
+    assert (sheafified, transports) == (372, 425)
 
 
 def test_matching_families_unknown_root(site_b):

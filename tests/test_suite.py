@@ -97,6 +97,24 @@ def test_engine_plus_constructions(name, count_calls):
     assert len(plus_calls) == 4 * len(pres) + 2 * len(pairs) + 2 * with_equalizer
 
 
+def test_family_key_calls_frozen(site_b, count_calls, monkeypatch):
+    # the plus-construction names each matching family over a least cover
+    # once (1,520 on this suite) and reads every other name through its
+    # index; the colimit oracle keeps its own string naming (650 calls)
+    families: list[int] = []
+    plus = sheafify_mod._plus
+
+    def counted(pre, top):
+        data = plus(pre, top)
+        families.append(sum(map(len, data.names.values())))
+        return data
+
+    monkeypatch.setattr(sheafify_mod, "_plus", counted)
+    keys = count_calls(sheafify_mod, "family_key")
+    run_site_suite(site_b, bound=4, seed=0)
+    assert (len(keys), sum(families)) == (2_170, 1_520)
+
+
 def test_engine_samples_come_from_the_transfer_pass(all_sites, random_sites, monkeypatch):
     received: list[list] = []
     monkeypatch.setattr(suite, "engine_checks",
