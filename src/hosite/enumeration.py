@@ -1,16 +1,16 @@
 """Exhaustive and sampled enumeration of presheaves within a value bound.
 
-One depth-first walk sets the non-identity restriction maps slot by slot.
-Given a topology it also decides the sheaf test: each half of the test at a
-least cover reads a fixed set of maps, so it runs once, at the slot that
-sets the last of them (or once per size vector), for the whole subtree.
-A last slot with no contravariance check and no sheaf test to run is free:
-its values are leaves with the prefix's verdict, handed over as one block.
-``leaves`` expands blocks in order on a ``SetPresheaf`` view over the
-walk's own tables, valid until the next item; the walk replaces tables and
-never edits one. ``reservoir`` draws a block in runs of one bit length
-with ``randint``'s own ``getrandbits`` arithmetic and copies only the leaves
-it keeps.
+One depth-first walk sets the non-identity restriction maps slot by slot and
+runs each test once, at the slot setting the last map it reads (or once per
+size vector), for the whole subtree; a failure sets the test's flag bits, and
+a test whose bits are all set is skipped. A last slot with no contravariance
+check and no test left to run is free: its values are leaves with the
+prefix's flags, handed over as one block. A vector mapping a non-empty value
+into an empty one has no leaf and is skipped; tables are built once per walk.
+``leaves`` expands blocks on a ``SetPresheaf`` view over the walk's own
+tables, valid until the next item; the walk never edits a table.
+``reservoir`` draws a block in runs of one bit length with ``randint``'s own
+``getrandbits`` arithmetic and copies only the leaves it keeps.
 """
 from __future__ import annotations
 
@@ -19,74 +19,89 @@ from random import Random
 from typing import Iterable, Iterator
 
 from .core import FiniteCategory, SetPresheaf
-from .sheafify import sheaf_tests
+from .sheafify import NOT_SHEAF, sheaf_tests
 from .sieves import GrothendieckTopology
 from .util import backtrack
 
 LABELS = ("s0", "s1", "s2", "s3")
 
 
-def walk_blocks(cat: FiniteCategory, max_card: int, top: GrothendieckTopology | None = None):
+def walk_flags(cat: FiniteCategory, max_card: int, tests):
     """All presheaves with every value of cardinality <= max_card, on the
     canonical labels: per size vector, one ``backtrack`` over the non-identity
     maps (tables in ``product`` order) but a free last one, checking each
-    contravariance constraint once its participants are set. Yields blocks
-    (pre, sheaf, last, values): a view with every map but ``last`` set
-    (identities first), whether its leaves are ``top``-sheaves (None without
-    a topology), and the free slot with its tables, or None and (None,)."""
+    contravariance constraint once its participants are set, and each test
+    (reads, test, flag), ``test(pre)`` reading only the maps in ``reads``.
+    Yields blocks (pre, flags, last, values): a view with every map but
+    ``last`` set (identities first), the flags its leaves' failed tests set,
+    and the free slot with its tables, or None and (None,)."""
     if not 0 <= max_card <= len(LABELS):
         raise ValueError(f"value bound {max_card} is outside 0..{len(LABELS)}")
     objs = cat.objects
     nonid = [m for m in cat.morphisms if not cat.is_identity(m)]
     midx = {m: i for i, m in enumerate(nonid)}
+    at = {o: i for i, o in enumerate(objs)}
+    ends = [(at[cat.cod[m]], at[cat.dom[m]]) for m in nonid]
 
     # (g, f, gf) with identity-free operands; triggered once all three maps exist
-    triggers: list[list[tuple[str, str, str]]] = [[] for _ in nonid]
+    triggers: list[list[tuple[str, str, str, int]]] = [[] for _ in nonid]
     for g in nonid:
         for f in nonid:
             if cat.composable(g, f):
                 gf = cat.composition[(g, f)]
-                triggers[max(midx[g], midx[f], midx.get(gf, -1))].append((g, f, gf))
-    # sheaf tests by the slot that sets their last map; those reading none
-    # decide each size vector
-    tests: list[list] = [[] for _ in nonid]
+                triggers[max(midx[g], midx[f], midx.get(gf, -1))].append((g, f, gf, at[cat.cod[g]]))
+    # tests by the slot that sets their last map; those reading none decide
+    # each size vector
+    slot_tests: list[list] = [[] for _ in nonid]
     per_vector: list = []
-    for reads, test in sheaf_tests(top) if top is not None else ():
-        slot = max((midx[m] for m in reads), default=-1)
-        (tests[slot] if slot >= 0 else per_vector).append(test)
+    for reads, test, flag in tests:
+        slot = max((midx.get(m, -1) for m in reads), default=-1)
+        (slot_tests[slot] if slot >= 0 else per_vector).append((test, flag))
+    sections = [LABELS[:k] for k in range(max_card + 1)]
+    ident = [{s: s for s in sec} for sec in sections]
+    lists = {(a, b): [dict(zip(sections[a], c)) for c in product(sections[b], repeat=a)]
+             for a in range(max_card + 1) for b in range(max_card + 1)}
 
     for sizes in product(range(max_card + 1), repeat=len(objs)):
-        value = {o: tuple(LABELS[:k]) for o, k in zip(objs, sizes)}
-        tables = []
-        for m in nonid:
-            src = value[cat.cod[m]]
-            tables.append([dict(zip(src, c)) for c in product(value[cat.dom[m]], repeat=len(src))])
-        checks = [[(g, f, gf, value[cat.cod[g]]) for g, f, gf in t] for t in triggers]
-        assigned: dict[str, dict[str, str]] = {
-            cat.identity[o]: {s: s for s in value[o]} for o in objs
-        }
+        if any(sizes[c] and not sizes[d] for c, d in ends):
+            continue
+        value = {o: sections[k] for o, k in zip(objs, sizes)}
+        tables = [lists[sizes[c], sizes[d]] for c, d in ends]
+        assigned = {cat.identity[o]: ident[k] for o, k in zip(objs, sizes)}
         pre = SetPresheaf(cat, value, assigned)
-        sheaf = None if top is None else all(test(pre) for test in per_vector)
-        # verdict[i]: the sheaf verdict of the subtree under slot i's value
-        verdict = [sheaf] * len(nonid)
-        free = bool(nonid) and not triggers[-1] and not (sheaf and tests[-1])
+        start = 0
+        for test, flag in per_vector:
+            if start & flag != flag and not test(pre):
+                start |= flag
+        # state[i]: the flags of the subtree under slot i's value
+        state = [start] * len(nonid)
+        free = bool(nonid) and not triggers[-1] and all(start & f == f for _, f in slot_tests[-1])
         slots, block = (nonid[:-1], (nonid[-1], tables[-1])) if free else (nonid, (None, (None,)))
 
         def ok(i: int) -> bool:
-            for g, f, gf, sections in checks[i]:
+            for g, f, gf, c in triggers[i]:
                 rg, rf, rgf = assigned[g], assigned[f], assigned[gf]
-                for s in sections:
+                for s in sections[sizes[c]]:
                     if rgf[s] != rf[rg[s]]:
                         return False
             # backtrack descends on the value this call accepts
-            above = verdict[i - 1] if i else sheaf
-            if above and tests[i]:
-                above = all(test(pre) for test in tests[i])
-            verdict[i] = above
+            flags = state[i - 1] if i else start
+            for test, flag in slot_tests[i]:
+                if flags & flag != flag and not test(pre):
+                    flags |= flag
+            state[i] = flags
             return True
 
         for _ in backtrack(slots, tables.__getitem__, ok, assigned):
-            yield (pre, verdict[len(slots) - 1] if slots else sheaf, *block)
+            yield (pre, state[len(slots) - 1] if slots else start, *block)
+
+
+def walk_blocks(cat: FiniteCategory, max_card: int, top: GrothendieckTopology | None = None):
+    """``walk_flags`` under ``top``'s sheaf tests as one flag, each block's
+    flags read as its sheaf verdict (None without a topology)."""
+    tests = () if top is None else [(reads, test, NOT_SHEAF) for reads, test, _ in sheaf_tests(top)]
+    for pre, flags, last, values in walk_flags(cat, max_card, tests):
+        yield pre, None if top is None else not flags, last, values
 
 
 def leaves(blocks: Iterable[tuple]) -> Iterator[tuple[SetPresheaf, bool | None]]:

@@ -7,29 +7,31 @@ of the base least cover) is lemma group (a)'s base side; the generic test,
 whether the gamma-pullback of the sieve inclusion is a local isomorphism, is
 its oracle under ``tests/``. Agreement is a theorem, so a disagreement fails
 loudly with a replayable counterexample. The sheaf-side checks walk the
-presheaves once per category and classify the walk's own views with
-``classify_presheaf``: P and ``gamma_star`` of P for the lemma groups,
-``gamma_lower_star`` of each base sheaf for the transfer. Only the sample is
-copied; counterexamples are read off the live view.
+presheaves once per category. Lemma groups (b)/(c) decide the sheaf tests of
+P under [τ] and of gamma^*P under τ in the quotient walk, as flags, and build
+a leaf only for a counterexample or witness; the transfer classifies
+``gamma_lower_star`` of each base sheaf with ``classify_presheaf``.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from random import Random
 from typing import Iterable
 
-from .core import SetPresheaf, iter_hom_presheaves
-from .enumeration import leaves, reservoir, walk_blocks
+from .core import SetPresheaf, iter_hom_presheaves, yoneda
+from .enumeration import _build, reservoir, walk_flags
 from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star, gamma_star_morphism
 from .report import CheckResult
-from .sheafify import classify_presheaf, is_tau_iso, matching_families
+from .sheafify import KINDS, NOT_SEPARATED, classify_presheaf, is_tau_iso, matching_families, sheaf_tests
 from .sieves import (
     GrothendieckTopology,
     Sieve,
+    _inclusion,
     all_sieves,
     format_sieve,
     generate_sieve,
-    sieve_inclusion,
+    sieve_presheaf,
     validate_topology,
 )
 
@@ -121,6 +123,67 @@ def _presheaf_payload(pre: SetPresheaf) -> dict:
     }
 
 
+class _Along:
+    """The restriction tables of gamma^*P over a live view of P: f reads P(gamma f)."""
+
+    def __init__(self, restrict, gamma):
+        self.restrict, self.gamma = restrict, gamma
+
+    def __getitem__(self, f):
+        return self.restrict[self.gamma[f]]
+
+
+def _comparison_walk(h: HomotopyCategoryData, top: GrothendieckTopology,
+                     induced: GrothendieckTopology, bound: int):
+    """The quotient walk of lemma groups (b)/(c): flags of P under [τ]'s sheaf
+    tests, then, two bits up, of gamma^*P under τ's (one view per size vector)."""
+    gamma, view = h.gamma, [None, None]
+
+    def on_pullback(pre, test):
+        if view[0] is not pre:
+            view[:] = pre, SetPresheaf(h.base, pre.value, _Along(pre.restrict, gamma))
+        return test(view[1])
+    return walk_flags(h.ho, bound, [*sheaf_tests(induced), *(
+        ({gamma[m] for m in reads}, partial(on_pullback, test=test), flag << 2)
+        for reads, test, flag in sheaf_tests(top))])
+
+
+def _implications(h: HomotopyCategoryData, top: GrothendieckTopology,
+                  induced: GrothendieckTopology, bound: int, rng: Random,
+                  sample: list) -> list[CheckResult]:
+    """Groups (b) and (c) over that walk, which fills the (a) reservoir too; only
+    the first failure and the first witness (cover by the classifier) are built."""
+    cases, b_fail, witness = 0, None, None
+    for pre, flags, last, values in reservoir(_comparison_walk(h, top, induced, bound),
+                                              10, rng, sample):
+        cases += len(values)
+        ho, base = flags & 3, flags >> 2  # KINDS keys of P and of gamma^*P
+        if b_fail is None and (ho and not base or (ho ^ base) & NOT_SEPARATED):
+            bad = ("base sheaf with non-sheaf original" if not base else
+                   "base separated with non-separated original" if ho & NOT_SEPARATED else
+                   "separated original with non-separated pullback")
+            b_fail = CheckResult(
+                "sheaf-implications", "fail", bad,
+                counterexample={"presheaf": _presheaf_payload(_build(pre, last, values[0])),
+                                "original": KINDS[ho], "pullback": KINDS[base]})
+        if witness is None and base and not ho:
+            pulled = gamma_star(h, leaf := _build(pre, last, values[0]))
+            x, cover = classify_presheaf(pulled, top).witness
+            found = {"sections": len(pulled.value[x]),
+                     "families": len(matching_families(pulled, cover))}
+            witness = CheckResult(
+                "converse-witness", "pass", f"witness found: sheaf over the quotient, "
+                f"pullback has {found['sections']} sections vs {found['families']} families",
+                data={"found": True, **found}, counterexample={
+                    "presheaf": _presheaf_payload(leaf), "object": x,
+                    "cover": format_sieve(h.base, cover), **found})
+    return [b_fail or CheckResult("sheaf-implications", "pass",
+                                  f"{cases} presheaves, all implications hold",
+                                  data={"cases": cases}),
+            witness or CheckResult("converse-witness", "pass", "no witness within bounds",
+                                   data={"found": False})]
+
+
 def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
                             induced: GrothendieckTopology, bound: int = 2,
                             seed: int = 0) -> list[CheckResult]:
@@ -136,44 +199,13 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
     """
     rng = Random(seed)
     ho = h.ho
-    results: list[CheckResult] = []
-
-    # single pass over quotient presheaves for (b), (c) and the (a) reservoir
-    implication_cases = 0
-    witness: dict | None = None
     sample: list[SetPresheaf] = []
-    b_fail: CheckResult | None = None
-    for pre, _ in leaves(reservoir(walk_blocks(ho, bound), 10, rng, sample)):
-        pulled = gamma_star(h, pre)
-        cls_ho = classify_presheaf(pre, induced)
-        cls_base = classify_presheaf(pulled, top)
-        implication_cases += 1
-        bad = None
-        if cls_base.is_sheaf and not cls_ho.is_sheaf:
-            bad = "base sheaf with non-sheaf original"
-        elif cls_base.is_separated and not cls_ho.is_separated:
-            bad = "base separated with non-separated original"
-        elif cls_ho.is_separated and not cls_base.is_separated:
-            bad = "separated original with non-separated pullback"
-        if bad and b_fail is None:
-            b_fail = CheckResult(
-                "sheaf-implications", "fail", bad,
-                counterexample={"presheaf": _presheaf_payload(pre),
-                                "original": cls_ho.kind, "pullback": cls_base.kind})
-        if witness is None and cls_ho.is_sheaf and not cls_base.is_sheaf:
-            wx, wsieve = cls_base.witness
-            witness = {
-                "presheaf": _presheaf_payload(pre),
-                "object": wx,
-                "cover": format_sieve(h.base, wsieve),
-                "sections": len(pulled.value[wx]),
-                "families": len(matching_families(pulled, wsieve)),
-            }
+    implications = _implications(h, top, induced, bound, rng, sample)
 
     # (a): sampled morphisms plus every sieve inclusion
     a_fail: CheckResult | None = None
-    cases = [(sieve_inclusion(ho, u), is_bracket_cover(h, top, u))
-             for x in ho.objects for u in all_sieves(ho, x)]
+    cases = [(_inclusion(sieve_presheaf(ho, u), whole), is_bracket_cover(h, top, u))
+             for x in ho.objects for whole in [yoneda(ho, x)] for u in all_sieves(ho, x)]
     for _ in range(min(6, len(sample) ** 2)):
         src, tgt = rng.choice(sample), rng.choice(sample)
         cases.extend((m, bool(is_tau_iso(gamma_star_morphism(h, m), top)))
@@ -187,25 +219,8 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
                 counterexample={"source": _presheaf_payload(m.source),
                                 "target": _presheaf_payload(m.target),
                                 "components": {o: dict(c) for o, c in m.components.items()}})
-    results.append(a_fail or CheckResult(
-        "iso-comparison", "pass", f"{len(cases)} morphisms agree",
-        data={"cases": len(cases)}))
-    results.append(b_fail or CheckResult(
-        "sheaf-implications", "pass",
-        f"{implication_cases} presheaves, all implications hold",
-        data={"cases": implication_cases}))
-    if witness is not None:
-        results.append(CheckResult(
-            "converse-witness", "pass",
-            f"witness found: sheaf over the quotient, pullback has "
-            f"{witness['sections']} sections vs {witness['families']} families",
-            data={"found": True, "sections": witness["sections"],
-                  "families": witness["families"]},
-            counterexample=witness))
-    else:
-        results.append(CheckResult(
-            "converse-witness", "pass", "no witness within bounds",
-            data={"found": False}))
+    results = [a_fail or CheckResult("iso-comparison", "pass", f"{len(cases)} morphisms agree",
+                                     data={"cases": len(cases)}), *implications]
 
     # (d): thickening calculus, one bracket per cover. The first pair sharing a bracket
     # but not a thickening starts at its group's first cover, which differs from one of them.

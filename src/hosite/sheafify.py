@@ -5,10 +5,11 @@ per topology in a cover plan (``SievePlan``). At the least cover J of x,
 restriction of P(x) to families over J is tested for injectivity on tuples of
 sections; every canonical family matches, so an injective map is onto iff
 there are no more matching families than |P(x)| (the count stops past it).
-``classify_presheaf`` reads only a presheaf's value and restriction tables,
-so the comparison checks run it on views over the presheaf walk's own
-tables; ``is_sheaf`` wraps it. ``sheaf_tests`` gives its two halves with the
-maps they read, so the walk decides each where its last map is set.
+``classify_presheaf`` (which ``is_sheaf`` wraps) reads only a presheaf's
+value and restriction tables. ``sheaf_tests`` gives its two halves with the
+maps they read and the flag a failure sets, so the presheaf walk decides each
+on views over its own tables where its last map is set, and reads the kind
+off the flags.
 The plus-construction is the filtered colimit, over covering sieves ordered
 by reverse inclusion, of matching families; that poset has the least cover as
 its maximum, so the colimit is computed there: classes are named by their
@@ -106,15 +107,19 @@ def _exact_family_count(pre: SetPresheaf, plan: SievePlan) -> bool:
     return sum(1 for _ in islice(_families(pre, plan), n + 1)) == n
 
 
+NOT_SHEAF, NOT_SEPARATED = 1, 2  # the flags a failed sheaf test sets
+KINDS = {0: "sheaf", NOT_SHEAF: "separated-not-sheaf", NOT_SHEAF | NOT_SEPARATED: "not-separated"}
+
+
 def sheaf_tests(top: GrothendieckTopology):
-    """The sheaf test, as (reads, test) pairs: ``test(pre)`` decides one half
-    of the test at one least cover and reads only the maps in ``reads``. A
-    sheaf passes all of them: a count other than |P(x)| already rules out a
-    bijection."""
+    """The sheaf test, as (reads, test, flag): ``test(pre)`` decides one half
+    of it at one least cover, reads only the maps in ``reads``, and sets
+    ``flag`` on failure. The kind is ``KINDS`` of the flags set: a count other
+    than |P(x)| rules out a bijection, a non-injective map separation too."""
     for plan in top._sheaf_plans:
-        yield plan.members, partial(_injective, plan=plan)
+        yield plan.members, partial(_injective, plan=plan), NOT_SHEAF | NOT_SEPARATED
         reads = {g for checks in plan.triggers for g, _, _ in checks}
-        yield reads, partial(_exact_family_count, plan=plan)
+        yield reads, partial(_exact_family_count, plan=plan), NOT_SHEAF
 
 
 def classify_presheaf(pre: SetPresheaf, top: GrothendieckTopology) -> Classification:
@@ -261,58 +266,56 @@ def is_tau_iso(m: PresheafMorphism, top: GrothendieckTopology) -> TauIsoResult:
 def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -> SetPresheaf:
     """Oracle: the plus-construction as the literal filtered colimit.
 
-    Enumerates (sieve, family) pairs over every covering sieve, identifies
+    Enumerates (cover, family) pairs over every covering sieve, identifies
     two pairs when they agree on a common covering refinement, and only then
     names each class by its restriction to the minimal sieve. Must agree
     with plus_construction on the nose; raises if the class structure does
     not biject with the minimal-sieve families.
     """
     cat = pre.cat
-    plans = top._cover_plan
-    class_of: dict[str, dict[tuple[Sieve, str], str]] = {}
-    value: dict[str, tuple[str, ...]] = {}
-    pair_fams: dict[str, dict[tuple[Sieve, str], dict[str, str]]] = {}
+    covers = {x: top.covers_of(x) for x in cat.objects}
+    plans = {x: [sieve_plan(cat, s) for s in covers[x]] for x in cat.objects}
+    pos = {x: [{f: i for i, f in enumerate(p.members)} for p in plans[x]] for x in cat.objects}
+    class_of, value, restrict = {}, {}, {}  # class_of[x]: (cover index, sections) -> name
     for x in cat.objects:
-        pairs = {}
-        for s in top.covers_of(x):
-            for fam in _family_dicts(pre, sieve_plan(cat, s)):
-                pairs[(s, family_key(fam))] = fam
-        # per cover r, the pairs whose sieves hold r are identified by restriction
+        fams = [[tuple(fam.values()) for fam in _families(pre, plan)] for plan in plans[x]]
+        pairs = [(i, secs) for i, found in enumerate(fams) for secs in found]
         uf = UnionFind(pairs)
-        for r in top.covers[x]:
-            ms, first = sorted(r.members), {}
-            for k, fam in pairs.items():
-                if r.members <= k[0].members:
-                    uf.union(first.setdefault(tuple(fam[f] for f in ms), k), k)
-        names = {}
-        for root, members in uf.classes().items():
-            restr = {family_key({f: pairs[k][f] for f in plans[x].members}) for k in members}
+        # per cover r, the pairs whose sieves hold r are identified by restriction
+        for r, plan in zip(covers[x], plans[x]):
+            first: dict[tuple[str, ...], tuple] = {}
+            for i, s in enumerate(covers[x]):
+                if r.members <= s.members:
+                    at = [pos[x][i][f] for f in plan.members]
+                    for secs in fams[i]:
+                        k = i, secs
+                        uf.union(first.setdefault(tuple([secs[a] for a in at]), k), k)
+        least = covers[x].index(top.least[x])
+        minimal, names, seen = plans[x][least].members, {}, set()
+        for members in uf.classes().values():
+            restr = {tuple([secs[pos[x][i][f]] for f in minimal]) for i, secs in members}
             if len(restr) != 1:
                 raise ValueError(f"colimit class on {x} has inconsistent minimal restrictions")
-            name = restr.pop()
-            if name in names.values():
+            if restr <= seen:
                 raise ValueError(f"two colimit classes on {x} share a minimal restriction")
-            for k in members:
-                names[k] = name
-        class_of[x] = names
-        pair_fams[x] = pairs
-        expected = {family_key(f) for f in _family_dicts(pre, plans[x])}
-        if set(names.values()) != expected:
+            seen |= restr
+            names.update(dict.fromkeys(members, family_key(dict(zip(minimal, *restr)))))
+        if seen != set(fams[least]):
             raise ValueError(f"colimit classes on {x} do not exhaust the minimal-sieve families")
+        class_of[x] = {k: names[k] for k in pairs}
         value[x] = tuple(sorted(set(names.values())))
-    restrict: dict[str, dict[str, str]] = {}
     for h in cat.morphisms:
         y, x = cat.dom[h], cat.cod[h]
-        table: dict[str, str] = {}
-        for (s, _), fam in pair_fams[x].items():
-            name = class_of[x][(s, family_key(fam))]
-            ps = pullback_sieve(cat, h, s)
-            pfam = {g: fam[cat.compose(h, g)] for g in ps.members}
-            # ps is covering by stability and pfam inherits compatibility,
-            # so the pair was enumerated
-            target = class_of[y][(ps, family_key(pfam))]
+        index = {s: j for j, s in enumerate(covers[y])}
+        # each pullback is covering by stability and a pulled family inherits
+        # compatibility, so the pair was enumerated
+        pulled = [(j, [pos[x][i][cat.compose(h, g)] for g in plans[y][j].members])
+                  for i, j in enumerate(index[pullback_sieve(cat, h, s)] for s in covers[x])]
+        table = restrict[h] = {}
+        for (i, secs), name in class_of[x].items():
+            j, at = pulled[i]
+            target = class_of[y][(j, tuple([secs[a] for a in at]))]
             if name in table and table[name] != target:
                 raise ValueError(f"colimit restriction along {h} is not well defined")
             table[name] = target
-        restrict[h] = table
     return SetPresheaf(cat, value, restrict)

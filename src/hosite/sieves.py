@@ -129,9 +129,11 @@ def sieve_presheaf(cat: FiniteCategory, s: Sieve) -> SetPresheaf:
 
 
 def sieve_inclusion(cat: FiniteCategory, s: Sieve) -> PresheafMorphism:
-    sub = sieve_presheaf(cat, s)
-    return PresheafMorphism(sub, yoneda(cat, s.root),
-                            {o: {f: f for f in sub.value[o]} for o in cat.objects})
+    return _inclusion(sieve_presheaf(cat, s), yoneda(cat, s.root))
+
+
+def _inclusion(sub: SetPresheaf, whole: SetPresheaf) -> PresheafMorphism:
+    return PresheafMorphism(sub, whole, {o: {f: f for f in sub.value[o]} for o in sub.cat.objects})
 
 
 @dataclass(frozen=True)

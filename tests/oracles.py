@@ -35,9 +35,12 @@ leaf at a time, against which the walk in blocks, expanded, is checked for
 the same leaves, maps in the same order, and verdicts; the reservoir drawing
 by ``rng.randint`` leaf by leaf, against which the inlined draw per block
 is checked for the same samples and the same rng state;
-and the random-site composite search on a table keyed by arrow names,
+the random-site composite search on a table keyed by arrow names,
 against which the search on integer codes is checked for the same table,
-node count and rng state.
+node count and rng state; and lemma groups (b)/(c) classifying every
+quotient leaf and its gamma pullback with ``classify_presheaf``, against
+which the walk deciding both sides' sheaf tests is checked for the same
+first violation, witness, case count, sample and rng state.
 """
 from __future__ import annotations
 
@@ -62,6 +65,7 @@ from hosite import (
     generate_sieve,
     hom_presheaves,
     is_tau_iso,
+    matching_families,
     maximal_sieve,
     minimal_cover,
     pullback_sieve,
@@ -71,7 +75,7 @@ from hosite import (
     yoneda,
 )
 from hosite.core import PASS, _fail
-from hosite.enumeration import LABELS
+from hosite.enumeration import LABELS, leaves, reservoir, walk_blocks
 from hosite.homotopy import HomotopyCategoryData
 from hosite.randomsites import _NODE_BUDGET
 from hosite.sheafify import _family_dicts, family_key, sheaf_tests
@@ -150,7 +154,7 @@ def walk_by_leaf(cat, max_card, top=None):
                 triggers[max(midx[g], midx[f], midx.get(gf, -1))].append((g, f, gf))
     tests: list[list] = [[] for _ in nonid]
     per_vector: list = []
-    for reads, test in sheaf_tests(top) if top is not None else ():
+    for reads, test, _ in sheaf_tests(top) if top is not None else ():
         slot = max((midx[m] for m in reads), default=-1)
         (tests[slot] if slot >= 0 else per_vector).append(test)
 
@@ -452,6 +456,57 @@ def is_tau_iso_by_sheafification(m: PresheafMorphism, top) -> TauIsoResult:
     sheafified = sheafify_morphism(m, top)
     ok, witness = componentwise_bijection(sheafified)
     return TauIsoResult(ok, witness)
+
+
+def implications_by_leaf(h: HomotopyCategoryData, top: GrothendieckTopology,
+                         induced_top: GrothendieckTopology, bound: int, rng, sample):
+    """Lemma groups (b)/(c) leaf by leaf: each quotient presheaf P and
+    gamma_star of it classified with ``classify_presheaf``; the (b) and (c)
+    results, from the first implication failure, the first converse witness
+    and the leaf count, with the (a) reservoir filled from the same walk."""
+    implication_cases = 0
+    witness: dict | None = None
+    b_fail: CheckResult | None = None
+    for pre, _ in leaves(reservoir(walk_blocks(h.ho, bound), 10, rng, sample)):
+        pulled = gamma_star(h, pre)
+        cls_ho = classify_presheaf(pre, induced_top)
+        cls_base = classify_presheaf(pulled, top)
+        implication_cases += 1
+        bad = None
+        if cls_base.is_sheaf and not cls_ho.is_sheaf:
+            bad = "base sheaf with non-sheaf original"
+        elif cls_base.is_separated and not cls_ho.is_separated:
+            bad = "base separated with non-separated original"
+        elif cls_ho.is_separated and not cls_base.is_separated:
+            bad = "separated original with non-separated pullback"
+        if bad and b_fail is None:
+            b_fail = CheckResult(
+                "sheaf-implications", "fail", bad,
+                counterexample={"presheaf": induced._presheaf_payload(pre),
+                                "original": cls_ho.kind, "pullback": cls_base.kind})
+        if witness is None and cls_ho.is_sheaf and not cls_base.is_sheaf:
+            wx, wsieve = cls_base.witness
+            witness = {
+                "presheaf": induced._presheaf_payload(pre),
+                "object": wx,
+                "cover": format_sieve(h.base, wsieve),
+                "sections": len(pulled.value[wx]),
+                "families": len(matching_families(pulled, wsieve)),
+            }
+    if witness is None:
+        found = CheckResult("converse-witness", "pass", "no witness within bounds",
+                            data={"found": False})
+    else:
+        found = CheckResult(
+            "converse-witness", "pass",
+            f"witness found: sheaf over the quotient, pullback has "
+            f"{witness['sections']} sections vs {witness['families']} families",
+            data={"found": True, "sections": witness["sections"],
+                  "families": witness["families"]},
+            counterexample=witness)
+    return [b_fail or CheckResult("sheaf-implications", "pass",
+                                  f"{implication_cases} presheaves, all implications hold",
+                                  data={"cases": implication_cases}), found]
 
 
 def is_bracket_cover_by_iso(h: HomotopyCategoryData, top: GrothendieckTopology,

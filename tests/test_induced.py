@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from itertools import combinations
+import importlib
+from itertools import combinations, zip_longest
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,11 @@ import hosite.induced as induced_mod
 import hosite.sieves as sieves
 from hosite.enumeration import enumerate_presheaves, leaves, walk_blocks
 from hosite.induced import TheoremViolation
+from hosite.sheafify import KINDS
 from oracles import least_covers, validate_cover_sets
+
+# the package exports the function sheafify under the module's name
+sheafify_mod = importlib.import_module("hosite.sheafify")
 
 
 def test_bracket_sieve_examples(site_b):
@@ -198,26 +204,98 @@ def _walk_cases(all_sites, random_sites):
     return cases + [(all_sites[name], 3) for name in "BCDE"]
 
 
-def test_walk_quotient_classification_agrees_with_classify_presheaf(
-        all_sites, random_sites, monkeypatch):
-    # lemma groups (b)/(c) classify each quotient leaf and its gamma^*
-    # pullback as views over the walk's tables; classify_presheaf on the
-    # built presheaf and on gamma_star of it must agree, kind and witness,
-    # leaf by leaf in order
-    seen = _recorded_classifications(monkeypatch)
-    leaves = 0
+def test_walk_quotient_classification_agrees_with_classify_presheaf(all_sites, random_sites):
+    # lemma groups (b)/(c) decide both sides' sheaf tests in one walk of the
+    # quotient; the kinds its flags give must be classify_presheaf's on the
+    # built presheaf and on gamma_star of it, leaf by leaf in order
+    leaf_count = 0
     for site, bound in _walk_cases(all_sites, random_sites):
         h, top = site.homotopy, site.topology
         induced = induced_topology(h, top)
-        seen.clear()
-        check_comparison_lemmas(h, top, induced, bound=bound)
-        expected = []
-        for pre in enumerate_presheaves(h.ho, bound):
-            expected.append((h.ho, classify_presheaf(pre, induced)))
-            expected.append((h.base, classify_presheaf(gamma_star(h, pre), top)))
-        assert seen == expected
-        leaves += len(expected) // 2
-    assert leaves == 6243
+        walked = leaves(induced_mod._comparison_walk(h, top, induced, bound))
+        for (pre, flags), built in zip_longest(walked, enumerate_presheaves(h.ho, bound)):
+            assert list(pre.restrict.items()) == list(built.restrict.items())
+            assert (KINDS[flags & 3], KINDS[flags >> 2]) == (
+                classify_presheaf(built, induced).kind,
+                classify_presheaf(gamma_star(h, built), top).kind)
+            leaf_count += 1
+    assert leaf_count == 6243
+
+
+def _implication_cases(all_sites):
+    cases = [(site, 2, seed) for seed, site in enumerate(
+        [*all_sites.values(), *map(random_site, range(60))])]
+    cases += [(all_sites[name], 3, 7) for name in "BDE"]
+    return cases + [(all_sites[name], 4, 11) for name in "BC"]
+
+
+def test_implications_agree_with_the_per_leaf_oracle(all_sites):
+    # the walk deciding both sides' tests gives the per-leaf loop's first
+    # violation, witness and case count, and fills the (a) reservoir with the
+    # same copies, key order included, leaving the same rng state
+    from oracles import implications_by_leaf
+    witnesses = 0
+    for site, bound, seed in _implication_cases(all_sites):
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top)
+        rng, sample, oracle_rng, oracle_sample = Random(seed), [], Random(seed), []
+        got = induced_mod._implications(h, top, induced, bound, rng, sample)
+        want = implications_by_leaf(h, top, induced, bound, oracle_rng, oracle_sample)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert got[0].verdict == "pass"  # the implications are theorems
+        assert [list(p.restrict.items()) for p in sample] == \
+            [list(p.restrict.items()) for p in oracle_sample]
+        assert [p.value for p in sample] == [p.value for p in oracle_sample]
+        assert rng.getstate() == oracle_rng.getstate()
+        witnesses += got[1].data["found"]
+    assert witnesses == 4
+
+
+def _failing_on(quotient: bool, test):
+    """A sheaf-test half that fails on every presheaf over one side."""
+    def fake(pre, plan):
+        return False if pre.cat.morphisms[0].startswith("[") == quotient else test(pre, plan)
+    return fake
+
+
+@pytest.mark.parametrize("name, quotient, detail", [
+    ("_exact_family_count", True, "base sheaf with non-sheaf original"),
+    ("_injective", True, "base sheaf with non-sheaf original"),
+    ("_injective", False, "separated original with non-separated pullback"),
+])
+def test_forced_implication_failures_agree_with_the_oracle(
+        name, quotient, detail, all_sites, random_sites, monkeypatch):
+    # with one half of the sheaf test broken on one side, the walk and the
+    # per-leaf classification see the same broken test: the same first
+    # violation (payload and kinds), witness, count and sample
+    from oracles import implications_by_leaf
+    monkeypatch.setattr(sheafify_mod, name, _failing_on(quotient, getattr(sheafify_mod, name)))
+    details = set()
+    for seed, site in enumerate([*all_sites.values(), *random_sites[:20]]):
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top)
+        rng, sample, oracle_rng, oracle_sample = Random(seed), [], Random(seed), []
+        got = induced_mod._implications(h, top, induced, 2, rng, sample)
+        want = implications_by_leaf(h, top, induced, 2, oracle_rng, oracle_sample)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        assert [list(p.restrict.items()) for p in sample] == \
+            [list(p.restrict.items()) for p in oracle_sample]
+        assert rng.getstate() == oracle_rng.getstate()
+        details.add(got[0].detail)
+    assert detail in details
+
+
+def test_lemma_tests_evaluated_on_c_at_bound_4(site_c, count_calls):
+    # the comparison lemmas on C at bound 4 run each half of each sheaf test
+    # once per subtree, and a count only where injectivity held: the per-leaf
+    # loop made 155,266 injectivity tests and 101,950 family counts here. The
+    # injectivity test reads the quotient's only slot, so it still runs per leaf
+    h, top = site_c.homotopy, site_c.topology
+    induced = induced_topology(h, top)
+    injective = count_calls(sheafify_mod, "_injective")
+    counted = count_calls(sheafify_mod, "_exact_family_count")
+    check_comparison_lemmas(h, top, induced, bound=4)
+    assert (len(injective), len(counted)) == (155_266, 42)
 
 
 def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, monkeypatch):

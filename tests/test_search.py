@@ -150,8 +150,11 @@ def test_hom_values_tried_frozen(site_b, monkeypatch):
 
 def test_walk_values_tried_frozen(site_b, monkeypatch):
     # both walks of one wide-value suite, base and quotient; a walk that set
-    # the free last slot through backtrack tried 78,631 values here
-    assert _values_tried(enumeration, site_b, 4, monkeypatch) == 757
+    # the free last slot through backtrack tried 78,631 values here. The base
+    # walk tries 757; the quotient walk now runs the sheaf tests of both
+    # sides on its only slot, so it sets each of its 499 leaves (it handed
+    # them over in blocks, trying none, while it ran no test)
+    assert _values_tried(enumeration, site_b, 4, monkeypatch) == 1_256
 
 
 def _leaf_sequence(walk):
@@ -238,13 +241,29 @@ def test_reservoir_block_boundaries(site_b, sizes, k):
         _assert_reservoir_as_randint(_sized_blocks(site_b.category, sizes), k, seed)
 
 
+def _with_empty_blocks(blocks, inserted: list):
+    """Each block with a free slot preceded by an empty one on the same view
+    and slot; ``inserted`` counts them."""
+    for block in blocks:
+        if block[2] is not None:
+            inserted.append(None)
+            yield (*block[:3], [])
+        yield block
+
+
 def test_reservoir_over_empty_blocks(site_d):
-    # D's walks hand over free slots with no tables, at bound 2 and 3
+    # the walk skips a size vector with a map from a non-empty value into an
+    # empty one, so it yields no empty block (D's free slots had 8 of 33 at
+    # bound 2 and 56 of 240 at bound 3); the reservoir still draws as randint
+    # with an empty block before each of the walk's 25 and 184
+    inserted: list = []
     for bound in (2, 3):
-        assert any(not block[3] for block in walk_blocks(site_d.category, bound))
+        assert all(block[3] for block in walk_blocks(site_d.category, bound))
         for k in (1, 3, 10):
             for seed in range(3):
-                _assert_reservoir_as_randint(walk_blocks(site_d.category, bound), k, seed)
+                blocks = _with_empty_blocks(walk_blocks(site_d.category, bound), inserted)
+                _assert_reservoir_as_randint(blocks, k, seed)
+    assert len(inserted) == 9 * (25 + 184)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))

@@ -38,8 +38,9 @@ sheafify_mod = importlib.import_module("hosite.sheafify")
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
 def test_each_category_enumerated_once(name, count_calls):
+    # both walks, base and quotient, go through one walk core
     site = fixture_site(name)
-    calls = count_calls(enumeration, "walk_blocks")
+    calls = count_calls(enumeration, "walk_flags")
     assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
     cats = [args[0] for args in calls]
     assert len(cats) == 2
@@ -62,24 +63,27 @@ def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
 def test_suite_classifies_through_the_public_classifier(name, count_calls):
     # every classification of the suite goes through classify_presheaf and
-    # every pullback through gamma_star, where a wrapper can see them: two
-    # classifications and one pullback per quotient leaf, one classification
-    # per tested transfer image and per engine presheaf, and two pullbacks
-    # per pulled-back morphism
+    # every pullback through gamma_star, where a wrapper can see them. The
+    # quotient walk decides lemma groups (b)/(c) from the sheaf tests, so it
+    # builds, pulls back and classifies one leaf: the first converse witness.
+    # Besides: one classification per tested transfer image and per engine
+    # presheaf, and two pullbacks per pulled-back morphism
     site = fixture_site(name)
     h, top = site.homotopy, site.topology
     induced_top = induced.induced_topology(h, top)
-    quotient_leaves = sum(1 for _ in leaves(walk_blocks(h.ho, 2)))
     sheaves = sum(1 for _, sheaf in leaves(walk_blocks(h.base, 2, top)) if sheaf)
     images = sheaves if induced_top._sheaf_plans else 0
     classified = count_calls(sheafify_mod, "classify_presheaf")
     pulled = count_calls(homotopy, "gamma_star")
     morphisms = count_calls(homotopy, "gamma_star_morphism")
     engine_calls = count_calls(suite, "engine_checks")
-    assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
+    checks = {c.name: c for c in run_site_suite(site, bound=2, seed=0)}
+    assert all(c.verdict == "pass" for c in checks.values())
     [(_, pres)] = engine_calls
-    assert len(classified) == 2 * quotient_leaves + images + len(pres)
-    assert len(pulled) == quotient_leaves + 2 * len(morphisms)
+    witness = int(checks["converse-witness"].data["found"])
+    assert len(classified) == witness + images + len(pres)
+    assert len(pulled) == witness + 2 * len(morphisms)
+    assert [t for _, t in classified[:witness]] == [top] * witness
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
@@ -100,7 +104,8 @@ def test_engine_plus_constructions(name, count_calls):
 def test_family_key_calls_frozen(site_b, count_calls, monkeypatch):
     # the plus-construction names each matching family over a least cover
     # once (1,520 on this suite) and reads every other name through its
-    # index; the colimit oracle keeps its own string naming (650 calls)
+    # index; the colimit oracle keys its pairs by cover and section tuple and
+    # names only its classes (66 calls; 650 when it named every pair)
     families: list[int] = []
     plus = sheafify_mod._plus
 
@@ -112,7 +117,7 @@ def test_family_key_calls_frozen(site_b, count_calls, monkeypatch):
     monkeypatch.setattr(sheafify_mod, "_plus", counted)
     keys = count_calls(sheafify_mod, "family_key")
     run_site_suite(site_b, bound=4, seed=0)
-    assert (len(keys), sum(families)) == (2_170, 1_520)
+    assert (len(keys), sum(families)) == (1_586, 1_520)
 
 
 def test_engine_samples_come_from_the_transfer_pass(all_sites, random_sites, monkeypatch):
@@ -149,6 +154,26 @@ def _fixed_classification(on_quotient: str, on_base: str):
         x = cat.objects[0]
         return Classification(on_base, (x, maximal_sieve(cat, x)))
     return classify
+
+
+def _fixed_tests(on_quotient: str, on_base: str):
+    """sheaf_tests(top) replaced by at most one test per side, reading no
+    map and failing with the flags of a fixed kind, so the lemma walk decides
+    every leaf of that side to be of that kind."""
+    from hosite.sheafify import KINDS
+    flags = {kind: flag for flag, kind in KINDS.items()}
+
+    def tests(top):
+        flag = flags[on_quotient if _on_quotient(top.base.morphisms) else on_base]
+        return [((), lambda pre: False, flag)] if flag else []
+    return tests
+
+
+def _failing_on_base(injective):
+    """The injectivity half of the sheaf test failing on every base presheaf,
+    for the walk and the classifier alike: pullbacks are never separated,
+    and a quotient sheaf is a converse witness with a cover to name."""
+    return lambda pre, plan: _on_quotient(pre.cat.morphisms) and injective(pre, plan)
 
 
 def _induced_by(covers_of):
@@ -225,12 +250,12 @@ _FAILURES = [
      lambda: _induced_by(all_sieves), "preimage of"),
     ("iso-comparison", suite, "induced_topology",
      lambda: _induced_by(lambda ho, x: [maximal_sieve(ho, x)]), "induced-iso"),
-    ("sheaf-implications", induced, "classify_presheaf",
-     lambda: _fixed_classification("separated-not-sheaf", "sheaf"), "base sheaf with"),
-    ("sheaf-implications", induced, "classify_presheaf",
-     lambda: _fixed_classification("not-separated", "separated-not-sheaf"), "base separated"),
-    ("sheaf-implications", induced, "classify_presheaf",
-     lambda: _fixed_classification("sheaf", "not-separated"), "separated original"),
+    ("sheaf-implications", induced, "sheaf_tests",
+     lambda: _fixed_tests("separated-not-sheaf", "sheaf"), "base sheaf with"),
+    ("sheaf-implications", induced, "sheaf_tests",
+     lambda: _fixed_tests("not-separated", "separated-not-sheaf"), "base separated"),
+    ("sheaf-implications", sheafify_mod, "_injective",
+     lambda: _failing_on_base(sheafify_mod._injective), "separated original"),
     ("thickening", induced, "thicken_sieve", lambda: _thicken_to_empty_and_back,
      "thickening lost members; thickening is not idempotent; thickening changed"),
     ("thickening", induced, "thicken_sieve",
