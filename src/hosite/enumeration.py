@@ -6,9 +6,12 @@ size vector), for the whole subtree; a failure sets the test's flag bits, and
 a test whose bits are all set is skipped. A last slot with no contravariance
 check and no test left to run is free: its values are leaves with the
 prefix's flags, handed over as one block. A vector mapping a non-empty value
-into an empty one has no leaf and is skipped; tables are built once per walk.
-``leaves`` expands blocks on a ``SetPresheaf`` view over the walk's own
-tables, valid until the next item; the walk never edits a table.
+into an empty one has no leaf and is skipped. Tables are built once per walk,
+one list per pair of value sizes, so parallel maps with equal tables hold one
+object: a suite walks only its base category, and ``induced`` reads the
+quotient's presheaves off it by that identity. ``leaves`` expands blocks on a
+``SetPresheaf`` view over the walk's own tables, valid until the next item;
+the walk never edits a table.
 ``reservoir`` draws a block in runs of one bit length with ``randint``'s own
 ``getrandbits`` arithmetic and copies only the leaves it keeps.
 """
@@ -19,8 +22,6 @@ from random import Random
 from typing import Iterable, Iterator
 
 from .core import FiniteCategory, SetPresheaf
-from .sheafify import NOT_SHEAF, sheaf_tests
-from .sieves import GrothendieckTopology
 from .util import backtrack
 
 LABELS = ("s0", "s1", "s2", "s3")
@@ -96,23 +97,15 @@ def walk_flags(cat: FiniteCategory, max_card: int, tests):
             yield (pre, state[len(slots) - 1] if slots else start, *block)
 
 
-def walk_blocks(cat: FiniteCategory, max_card: int, top: GrothendieckTopology | None = None):
-    """``walk_flags`` under ``top``'s sheaf tests as one flag, each block's
-    flags read as its sheaf verdict (None without a topology)."""
-    tests = () if top is None else [(reads, test, NOT_SHEAF) for reads, test, _ in sheaf_tests(top)]
-    for pre, flags, last, values in walk_flags(cat, max_card, tests):
-        yield pre, None if top is None else not flags, last, values
-
-
-def leaves(blocks: Iterable[tuple]) -> Iterator[tuple[SetPresheaf, bool | None]]:
-    """Each block's (pre, sheaf) leaves: the free slot is set on the view to
+def leaves(blocks: Iterable[tuple]) -> Iterator[tuple[SetPresheaf, int]]:
+    """Each block's (pre, flags) leaves: the free slot is set on the view to
     each value, then removed, so ``pre.restrict`` keeps the walk's key order."""
-    for pre, sheaf, last, values in blocks:
+    for pre, flags, last, values in blocks:
         if last is None:
-            yield pre, sheaf
+            yield pre, flags
         else:
             for pre.restrict[last] in values:
-                yield pre, sheaf
+                yield pre, flags
             pre.restrict.pop(last, None)
 
 
@@ -124,23 +117,25 @@ def _build(pre: SetPresheaf, last: str | None, value) -> SetPresheaf:
 
 def enumerate_presheaves(cat: FiniteCategory, max_card: int) -> Iterator[SetPresheaf]:
     """Every presheaf of the walk, in its order."""
-    for pre, _, last, values in walk_blocks(cat, max_card):
+    for pre, _, last, values in walk_flags(cat, max_card, ()):
         yield from (_build(pre, last, value) for value in values)
 
 
-def reservoir(blocks: Iterable[tuple], k: int, rng: Random, sample: list) -> Iterator[tuple]:
-    """Yield every block; once they are exhausted, ``sample`` holds copies
-    of k leaves, drawn uniformly: leaf i >= k takes slot ``rng.randint(0, i)``
-    if below k, inlined as CPython computes it (``getrandbits`` of n = i + 1's
-    bit length, redrawn while >= n), with n walked in runs of one bit length.
-    Only the leaves taken are read and copied."""
+def reservoir(blocks: Iterable[tuple], k: int, rng: Random, sample: list,
+              build=_build) -> Iterator[tuple]:
+    """Yield every block; once they are exhausted, ``sample`` holds the
+    ``build(pre, last, value)`` copies of k leaves, drawn uniformly: leaf
+    i >= k takes slot ``rng.randint(0, i)`` if below k, inlined as CPython
+    computes it (``getrandbits`` of n = i + 1's bit length, redrawn while
+    >= n), with n walked in runs of one bit length. Only the leaves taken are
+    read and copied."""
     getrandbits = rng.getrandbits
     n, bits, top = 1, 0, 1  # the next leaf's n; the run's bit length, and 1 << it
     for block in blocks:
         pre, _, last, values = block
         first, stop = n, n + len(values)
         while n <= k and n < stop:
-            sample.append(_build(pre, last, values[n - first]))
+            sample.append(build(pre, last, values[n - first]))
             n += 1
         while n < stop:
             if n >= top:
@@ -151,7 +146,7 @@ def reservoir(blocks: Iterable[tuple], k: int, rng: Random, sample: list) -> Ite
                 while j >= n:
                     j = getrandbits(bits)
                 if j < k:
-                    sample[j] = _build(pre, last, values[n - first])
+                    sample[j] = build(pre, last, values[n - first])
             n += 1
         yield block
 
@@ -159,6 +154,6 @@ def reservoir(blocks: Iterable[tuple], k: int, rng: Random, sample: list) -> Ite
 def sample_presheaves(cat: FiniteCategory, max_card: int, k: int, rng: Random) -> list[SetPresheaf]:
     """Reservoir-sample k presheaves from the walk, building only those kept."""
     sample: list[SetPresheaf] = []
-    for _ in reservoir(walk_blocks(cat, max_card), k, rng, sample):
+    for _ in reservoir(walk_flags(cat, max_card, ()), k, rng, sample):
         pass
     return sample

@@ -7,23 +7,27 @@ of the base least cover) is lemma group (a)'s base side; the generic test,
 whether the gamma-pullback of the sieve inclusion is a local isomorphism, is
 its oracle under ``tests/``. Agreement is a theorem, so a disagreement fails
 loudly with a replayable counterexample. The sheaf-side checks walk the
-presheaves once per category. Lemma groups (b)/(c) decide the sheaf tests of
-P under [τ] and of gamma^*P under τ in the quotient walk, as flags, and build
-a leaf only for a counterexample or witness; the transfer classifies
+presheaves once per site, over the base: gamma^* is fully faithful, so the
+quotient's presheaves are the walk's gamma-constant leaves, met in the
+quotient walk's order, and gamma^*P is the leaf itself. Lemma groups (b)/(c)
+read the sheaf tests of P under [τ] and of the leaf under τ off its flags and
+build a leaf only for a counterexample or witness; the transfer classifies
 ``gamma_lower_star`` of each base sheaf with ``classify_presheaf``.
 """
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from itertools import islice
 from random import Random
 from typing import Iterable
 
 from .core import SetPresheaf, iter_hom_presheaves, yoneda
-from .enumeration import _build, reservoir, walk_flags
-from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star, gamma_star_morphism
+from .enumeration import reservoir, walk_flags
+from .homotopy import HomotopyCategoryData, gamma_lower_star, gamma_star_morphism
 from .report import CheckResult
-from .sheafify import KINDS, NOT_SEPARATED, classify_presheaf, is_tau_iso, matching_families, sheaf_tests
+from .sheafify import (KINDS, NOT_SEPARATED, NOT_SHEAF, classify_presheaf, is_tau_iso,
+                       matching_families, sheaf_tests)
 from .sieves import (
     GrothendieckTopology,
     Sieve,
@@ -124,64 +128,111 @@ def _presheaf_payload(pre: SetPresheaf) -> dict:
 
 
 class _Along:
-    """The restriction tables of gamma^*P over a live view of P: f reads P(gamma f)."""
+    """Restriction tables read through a renaming: q reads ``restrict[first[q]]``."""
 
-    def __init__(self, restrict, gamma):
-        self.restrict, self.gamma = restrict, gamma
+    def __init__(self, restrict, first):
+        self.restrict, self.first = restrict, first
 
-    def __getitem__(self, f):
-        return self.restrict[self.gamma[f]]
+    def __getitem__(self, q):
+        return self.restrict[self.first[q]]
 
 
-def _comparison_walk(h: HomotopyCategoryData, top: GrothendieckTopology,
-                     induced: GrothendieckTopology, bound: int):
-    """The quotient walk of lemma groups (b)/(c): flags of P under [τ]'s sheaf
-    tests, then, two bits up, of gamma^*P under τ's (one view per size vector)."""
-    gamma, view = h.gamma, [None, None]
+NOT_CONSTANT = 8  # the site walk's flag of a leaf that is not gamma-constant
 
-    def on_pullback(pre, test):
+
+def _same(pre, m, twin) -> bool:
+    """Whether P(m) is its twin's table: one entry of the walk's shared list,
+    or, for an identity, which is no list entry, an equal table."""
+    a, b = pre.restrict[m], pre.restrict[twin]
+    return a is b or pre.cat.is_identity(twin) and a == b
+
+
+def _site_walk(h: HomotopyCategoryData, top: GrothendieckTopology,
+               induced: GrothendieckTopology, bound: int, rng: Random, sample: list,
+               results: list):
+    """The one presheaf walk of a site, over the base, yielding its blocks:
+    τ's sheaf tests under NOT_SHEAF, [τ]'s two bits up on a view reading each
+    quotient arrow as its first member's map, and whether each other arrow
+    but the last slot has its twin's table (else NOT_CONSTANT and [τ]'s
+    bits). Its gamma-constant leaves fill the (a) reservoir as quotient
+    copies and decide (b)/(c), whose results go to ``results`` at the end."""
+    base, ho = h.base, h.ho
+    nonid = [m for m in base.morphisms if not base.is_identity(m)]
+    first = {h.gamma[m]: m for m in reversed(nonid)}
+    first.update((ho.identity[o], base.identity[o]) for o in base.objects)
+    twins = {m: first[h.gamma[m]] for m in nonid if first[h.gamma[m]] != m}
+    tail = nonid[-1] if nonid and nonid[-1] in twins else None
+    keys = [(ho.identity[o], base.identity[o]) for o in ho.objects]
+    keys += [(q, first[q]) for q in ho.morphisms if not ho.is_identity(q)]
+    separated = [test for _, test, flag in sheaf_tests(top) if flag & NOT_SEPARATED]
+    view = [None, None]
+
+    def on_quotient(pre, test):
         if view[0] is not pre:
-            view[:] = pre, SetPresheaf(h.base, pre.value, _Along(pre.restrict, gamma))
+            view[:] = pre, SetPresheaf(ho, pre.value, _Along(pre.restrict, first))
         return test(view[1])
-    return walk_flags(h.ho, bound, [*sheaf_tests(induced), *(
-        ({gamma[m] for m in reads}, partial(on_pullback, test=test), flag << 2)
-        for reads, test, flag in sheaf_tests(top))])
 
+    def copy(pre, last, value):
+        r = pre.restrict
+        return SetPresheaf(ho, pre.value, {q: value if m == last else r[m] for q, m in keys})
 
-def _implications(h: HomotopyCategoryData, top: GrothendieckTopology,
-                  induced: GrothendieckTopology, bound: int, rng: Random,
-                  sample: list) -> list[CheckResult]:
-    """Groups (b) and (c) over that walk, which fills the (a) reservoir too; only
-    the first failure and the first witness (cover by the classifier) are built."""
-    cases, b_fail, witness = 0, None, None
-    for pre, flags, last, values in reservoir(_comparison_walk(h, top, induced, bound),
-                                              10, rng, sample):
+    cases, b_fail, witness, fed = 0, None, None, []
+    # the (a) reservoir, drawing from each gamma-constant block as it is fed one
+    quotient = reservoir(iter(fed.pop, None), 10, rng, sample, copy)
+    for block in walk_flags(base, bound, [
+            *((reads, test, NOT_SHEAF) for reads, test, _ in sheaf_tests(top)),
+            *(({first[q] for q in reads}, partial(on_quotient, test=test), flag << 1)
+              for reads, test, flag in sheaf_tests(induced)),
+            *(((m, t), partial(_same, m=m, twin=t), NOT_CONSTANT | 6)
+              for m, t in twins.items() if m != tail)]):
+        pre, flags, last, values = block
+        # the block's gamma-constant leaves, the quotient's presheaves in its walk
+        # order: every value of a free first member; of a free later member, the
+        # one that is its twin's table; else the leaf, if its last map is its twin's
+        if flags & NOT_CONSTANT or last is None and tail and not _same(pre, tail, twins[tail]):
+            yield block
+            continue
+        if last in twins:
+            values = (pre.restrict[twins[last]],)
+        fed.append((pre, flags, last, values))
+        next(quotient)
         cases += len(values)
-        ho, base = flags & 3, flags >> 2  # KINDS keys of P and of gamma^*P
-        if b_fail is None and (ho and not base or (ho ^ base) & NOT_SEPARATED):
-            bad = ("base sheaf with non-sheaf original" if not base else
-                   "base separated with non-separated original" if ho & NOT_SEPARATED else
-                   "separated original with non-separated pullback")
-            b_fail = CheckResult(
-                "sheaf-implications", "fail", bad,
-                counterexample={"presheaf": _presheaf_payload(_build(pre, last, values[0])),
-                                "original": KINDS[ho], "pullback": KINDS[base]})
-        if witness is None and base and not ho:
-            pulled = gamma_star(h, leaf := _build(pre, last, values[0]))
-            x, cover = classify_presheaf(pulled, top).witness
-            found = {"sections": len(pulled.value[x]),
-                     "families": len(matching_families(pulled, cover))}
-            witness = CheckResult(
-                "converse-witness", "pass", f"witness found: sheaf over the quotient, "
-                f"pullback has {found['sections']} sections vs {found['families']} families",
-                data={"found": True, **found}, counterexample={
-                    "presheaf": _presheaf_payload(leaf), "object": x,
-                    "cover": format_sieve(h.base, cover), **found})
-    return [b_fail or CheckResult("sheaf-implications", "pass",
-                                  f"{cases} presheaves, all implications hold",
-                                  data={"cases": cases}),
-            witness or CheckResult("converse-witness", "pass", "no witness within bounds",
-                                   data={"found": False})]
+        ho_kind = flags >> 1 & 3  # KINDS key of the quotient presheaf; a block's leaves share it
+        # the leaves that can decide (b)/(c): each, where τ's separated half is per leaf
+        some = ((values if b_fail is None else values[:1]) if flags & NOT_SHEAF
+                else values[:1] if ho_kind and b_fail is None else ())
+        for value in some:
+            if last is not None:
+                pre.restrict[last] = value
+            # τ's kind of the leaf, which is gamma^* of the quotient presheaf
+            kind = flags & NOT_SHEAF
+            if kind and b_fail is None and not all(test(pre) for test in separated):
+                kind |= NOT_SEPARATED
+            if b_fail is None and (ho_kind and not kind or (ho_kind ^ kind) & NOT_SEPARATED):
+                bad = ("base sheaf with non-sheaf original" if not kind else
+                       "base separated with non-separated original" if ho_kind & NOT_SEPARATED
+                       else "separated original with non-separated pullback")
+                b_fail = CheckResult(
+                    "sheaf-implications", "fail", bad,
+                    counterexample={"presheaf": _presheaf_payload(copy(pre, None, None)),
+                                    "original": KINDS[ho_kind], "pullback": KINDS[kind]})
+            if witness is None and kind and not ho_kind:
+                x, cover = classify_presheaf(pre, top).witness
+                found = {"sections": len(pre.value[x]),
+                         "families": len(matching_families(pre, cover))}
+                witness = CheckResult(
+                    "converse-witness", "pass", f"witness found: sheaf over the quotient, "
+                    f"pullback has {found['sections']} sections vs {found['families']} families",
+                    data={"found": True, **found}, counterexample={
+                        "presheaf": _presheaf_payload(copy(pre, None, None)), "object": x,
+                        "cover": format_sieve(base, cover), **found})
+        pre.restrict.pop(last, None)
+        yield block
+    results += [b_fail or CheckResult("sheaf-implications", "pass",
+                                      f"{cases} presheaves, all implications hold",
+                                      data={"cases": cases}),
+                witness or CheckResult("converse-witness", "pass", "no witness within bounds",
+                                       data={"found": False})]
 
 
 def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
@@ -197,11 +248,17 @@ def check_comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
         pullback is not a base sheaf);
     (d) the thickening calculus for covering sieves.
     """
-    rng = Random(seed)
-    ho = h.ho
-    sample: list[SetPresheaf] = []
-    implications = _implications(h, top, induced, bound, rng, sample)
+    return _comparison_lemmas(h, top, induced, bound, seed, partial(deque, maxlen=0))
 
+
+def _comparison_lemmas(h: HomotopyCategoryData, top: GrothendieckTopology,
+                       induced: GrothendieckTopology, bound: int, seed: int,
+                       consume) -> list[CheckResult]:
+    """The lemma groups, with the site walk handed to ``consume``, which must
+    exhaust it; (a) samples its gamma-constant leaves under ``Random(seed)``."""
+    rng, sample, implications = Random(seed), [], []
+    consume(_site_walk(h, top, induced, bound, rng, sample, implications))
+    ho = h.ho
     # (a): sampled morphisms plus every sieve inclusion
     a_fail: CheckResult | None = None
     cases = [(_inclusion(sieve_presheaf(ho, u), whole), is_bracket_cover(h, top, u))

@@ -15,11 +15,13 @@ by reverse inclusion, of matching families; that poset has the least cover as
 its maximum, so the colimit is computed there: classes are named by their
 restriction to it. Each family over a least cover is named once, by
 ``family_key``, into an index from its sections (in plan order) to its name;
-restriction maps, the unit and transported morphisms read names through the
-index, and an image that misses it means the morphism was not natural.
-``plus_construction_via_colimit`` keeps the general construction alive as
-an independent oracle, with its own ``family_key`` naming. ``is_tau_iso``
-is the local-isomorphism test: m: F -> G sheafifies to an iso iff, with J the
+over a maximal least cover the families are the (P(f)s)_f, listed without a
+search. Restriction maps, the unit and transported morphisms read names
+through the index, and an image that misses it means the morphism was not
+natural. ``plus_construction_via_colimit`` keeps the general construction
+alive as an independent oracle, with its own ``family_key`` naming and its
+own layout of every cover, built once per topology. ``is_tau_iso`` is the
+local-isomorphism test: m: F -> G sheafifies to an iso iff, with J the
 least cover of each x, every G(f)t for t in G(x), f in J lies in the image of
 m, and sections of F(x) with the same image agree along every f in J. Its
 witness is the first object, in declaration order, where either check fails.
@@ -32,7 +34,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .core import PresheafMorphism, SetPresheaf, compose_morphisms
-from .sieves import GrothendieckTopology, Sieve, SievePlan, pullback_sieve, sieve_plan
+from .sieves import GrothendieckTopology, Sieve, SievePlan, sieve_plan
 from .util import UnionFind, backtrack
 
 
@@ -158,11 +160,20 @@ def _plus(pre: SetPresheaf, top: GrothendieckTopology) -> _PlusData:
     value: dict[str, tuple[str, ...]] = {}
     unit: dict[str, dict[str, str]] = {}
     for x in cat.objects:
-        # backtrack keys each family in plan.members order
-        index = {tuple(fam.values()): family_key(fam) for fam in _families(pre, plans[x])}
+        plan = plans[x]
+        tables = [pre.restrict[f] for f in plan.members]
+        if len(plan.members) == len(cat.arrows_into(x)):
+            # over a maximal sieve the families are (P(f)s)_f, s their section at
+            # id_x, listed as the backtrack would: by positions in value[dom f]
+            at = [{e: i for i, e in enumerate(pre.value[d])} for d in plan.doms]
+            index = {secs: family_key(dict(zip(plan.members, secs))) for secs in sorted(
+                (tuple([t[s] for t in tables]) for s in pre.value[x]),
+                key=lambda secs: [a[e] for a, e in zip(at, secs)])}
+        else:
+            # backtrack keys each family in plan.members order
+            index = {tuple(fam.values()): family_key(fam) for fam in _families(pre, plan)}
         names[x] = index
         value[x] = tuple(sorted(index.values()))
-        tables = [pre.restrict[f] for f in plans[x].members]
         unit[x] = {s: index[tuple([t[s] for t in tables])] for s in pre.value[x]}
     restrict: dict[str, dict[str, str]] = {}
     for h in cat.morphisms:
@@ -272,28 +283,23 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
     with plus_construction on the nose; raises if the class structure does
     not biject with the minimal-sieve families.
     """
-    cat = pre.cat
-    covers = {x: top.covers_of(x) for x in cat.objects}
-    plans = {x: [sieve_plan(cat, s) for s in covers[x]] for x in cat.objects}
-    pos = {x: [{f: i for i, f in enumerate(p.members)} for p in plans[x]] for x in cat.objects}
+    cat, (plans_of, least_of, holding, pulled_of) = pre.cat, top._colimit_layout
     class_of, value, restrict = {}, {}, {}  # class_of[x]: (cover index, sections) -> name
     for x in cat.objects:
-        fams = [[tuple(fam.values()) for fam in _families(pre, plan)] for plan in plans[x]]
+        plans, least = plans_of[x], least_of[x]
+        fams = [[tuple(fam.values()) for fam in _families(pre, plan)] for plan in plans]
         pairs = [(i, secs) for i, found in enumerate(fams) for secs in found]
         uf = UnionFind(pairs)
         # per cover r, the pairs whose sieves hold r are identified by restriction
-        for r, plan in zip(covers[x], plans[x]):
+        for holders in holding[x]:
             first: dict[tuple[str, ...], tuple] = {}
-            for i, s in enumerate(covers[x]):
-                if r.members <= s.members:
-                    at = [pos[x][i][f] for f in plan.members]
-                    for secs in fams[i]:
-                        k = i, secs
-                        uf.union(first.setdefault(tuple([secs[a] for a in at]), k), k)
-        least = covers[x].index(top.least[x])
-        minimal, names, seen = plans[x][least].members, {}, set()
+            for i, at in holders:
+                for secs in fams[i]:
+                    k = i, secs
+                    uf.union(first.setdefault(tuple([secs[a] for a in at]), k), k)
+        minimal, to_least, names, seen = plans[least].members, dict(holding[x][least]), {}, set()
         for members in uf.classes().values():
-            restr = {tuple([secs[pos[x][i][f]] for f in minimal]) for i, secs in members}
+            restr = {tuple([secs[a] for a in to_least[i]]) for i, secs in members}
             if len(restr) != 1:
                 raise ValueError(f"colimit class on {x} has inconsistent minimal restrictions")
             if restr <= seen:
@@ -305,14 +311,11 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
         class_of[x] = {k: names[k] for k in pairs}
         value[x] = tuple(sorted(set(names.values())))
     for h in cat.morphisms:
-        y, x = cat.dom[h], cat.cod[h]
-        index = {s: j for j, s in enumerate(covers[y])}
         # each pullback is covering by stability and a pulled family inherits
         # compatibility, so the pair was enumerated
-        pulled = [(j, [pos[x][i][cat.compose(h, g)] for g in plans[y][j].members])
-                  for i, j in enumerate(index[pullback_sieve(cat, h, s)] for s in covers[x])]
+        y, pulled = cat.dom[h], pulled_of[h]
         table = restrict[h] = {}
-        for (i, secs), name in class_of[x].items():
+        for (i, secs), name in class_of[cat.cod[h]].items():
             j, at = pulled[i]
             target = class_of[y][(j, tuple([secs[a] for a in at]))]
             if name in table and table[name] != target:

@@ -159,6 +159,30 @@ class GrothendieckTopology:
         return {x: sieve_plan(self.base, self.least[x]) for x in self.base.objects}
 
     @cached_property
+    def _colimit_layout(self):
+        """The colimit oracle's layout: per object, its covers' plans and the
+        least one's index, and per cover r the (index, positions of r's
+        members) of each cover holding r; per arrow h: y -> x and cover s of
+        x, the index of h*s among y's covers and the positions in s of h∘g."""
+        cat, plans, least, holding, pos = self.base, {}, {}, {}, {}
+        for x in cat.objects:
+            covers = self.covers_of(x)
+            plans[x] = [sieve_plan(cat, s) for s in covers]
+            pos[x] = [dict(zip(p.members, range(len(p.members)))) for p in plans[x]]
+            least[x] = covers.index(self.least[x])
+            holding[x] = [[(i, list(map(pos[x][i].__getitem__, r.members)))
+                           for i, s in enumerate(covers) if r.sieve.members <= s.members]
+                          for r in plans[x]]
+        pulled = {}
+        for h in cat.morphisms:
+            y, x = cat.dom[h], cat.cod[h]
+            index = {p.sieve: j for j, p in enumerate(plans[y])}
+            pulled[h] = [(j, [pos[x][i][cat.compose(h, g)] for g in plans[y][j].members])
+                         for i, j in enumerate(index[pullback_sieve(cat, h, p.sieve)]
+                                               for p in plans[x])]
+        return plans, least, holding, pulled
+
+    @cached_property
     def _sheaf_plans(self) -> tuple[SievePlan, ...]:
         """The plans of the least covers that are not maximal, in declaration
         order: the canonical map to families over a maximal sieve is always

@@ -13,17 +13,18 @@ from .core import (
     iter_hom_presheaves,
     product_presheaf,
 )
-from .enumeration import leaves, reservoir, walk_blocks
+from .enumeration import leaves, reservoir
 from .induced import (
     TheoremViolation,
+    _comparison_lemmas,
     _presheaf_payload,
-    check_comparison_lemmas,
     check_cover_reflecting,
     check_sheaf_transfer,
     induced_topology,
 )
 from .report import CheckResult
 from .sheafify import (
+    NOT_SHEAF,
     classify_presheaf,
     is_tau_iso,
     plus_construction_via_colimit,
@@ -92,8 +93,9 @@ def engine_checks(top, presheaves) -> list[CheckResult]:
 
 def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[CheckResult]:
     """Everything checkable on one site, as a flat list of results. One walk
-    of the base presheaves decides which are sheaves, for the sheaf-transfer
-    check, and samples the engine battery's presheaves."""
+    of the base presheaves samples the engine battery's presheaves, decides
+    lemma groups (b)/(c) and samples (a) on its gamma-constant leaves, and
+    hands its sheaves to the sheaf-transfer check."""
     h, top = site.homotopy, site.topology
     out: list[CheckResult] = []
     try:
@@ -107,12 +109,15 @@ def run_site_suite(site: SiteDocument, bound: int = 2, seed: int = 0) -> list[Ch
                            f"both characterizations agree on {covers} covers",
                            data={"covers": covers}))
     out.append(check_cover_reflecting(h, top, induced))
-    out.extend(check_comparison_lemmas(h, top, induced, bound=bound, seed=seed))
     sample: list[SetPresheaf] = []
-    walk = reservoir(walk_blocks(site.category, bound, top), ENGINE_SAMPLES,
-                     Random(seed + 1), sample)
-    base_sheaves = leaves(filter(itemgetter(1), walk))
-    out.append(check_sheaf_transfer(h, induced, map(itemgetter(0), base_sheaves)))
+    transfer: list[CheckResult] = []
+
+    def consume(walk):  # the engine's reservoir and the transfer read the lemmas' walk
+        walk = reservoir(walk, ENGINE_SAMPLES, Random(seed + 1), sample)
+        transfer.append(check_sheaf_transfer(h, induced, map(itemgetter(0), leaves(
+            block for block in walk if not block[1] & NOT_SHEAF))))
+    out.extend(_comparison_lemmas(h, top, induced, bound, seed, consume))
+    out.extend(transfer)
     sample.extend(site.presheaves[name] for name in sorted(site.presheaves))
     out.extend(engine_checks(top, sample))
     for check in out:

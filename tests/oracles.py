@@ -37,14 +37,22 @@ by ``rng.randint`` leaf by leaf, against which the inlined draw per block
 is checked for the same samples and the same rng state;
 the random-site composite search on a table keyed by arrow names,
 against which the search on integer codes is checked for the same table,
-node count and rng state; and lemma groups (b)/(c) classifying every
+node count and rng state; lemma groups (b)/(c) classifying every
 quotient leaf and its gamma pullback with ``classify_presheaf``, against
 which the walk deciding both sides' sheaf tests is checked for the same
-first violation, witness, case count, sample and rng state.
+first violation, witness, case count, sample and rng state; and a suite's
+two walks, one per category (the quotient walk deciding (b)/(c) with
+gamma^*P read through gamma, the base walk deciding the sheaves and the
+engine sample), against which the one walk of the base, reading the
+quotient's presheaves off its gamma-constant leaves, is checked for the
+same results, samples, rng states and sheaf sequence.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
+from operator import itemgetter
+from random import Random
 
 import hosite.induced as induced
 from hosite import (
@@ -75,10 +83,10 @@ from hosite import (
     yoneda,
 )
 from hosite.core import PASS, _fail
-from hosite.enumeration import LABELS, leaves, reservoir, walk_blocks
+from hosite.enumeration import LABELS, _build, leaves, reservoir, walk_flags
 from hosite.homotopy import HomotopyCategoryData
 from hosite.randomsites import _NODE_BUDGET
-from hosite.sheafify import _family_dicts, family_key, sheaf_tests
+from hosite.sheafify import KINDS, NOT_SEPARATED, NOT_SHEAF, _family_dicts, family_key, sheaf_tests
 from hosite.sieves import sieve_plan
 from hosite.util import UnionFind, backtrack
 
@@ -184,6 +192,15 @@ def walk_by_leaf(cat, max_card, top=None):
 
         for _ in backtrack(nonid, tables.__getitem__, ok, assigned):
             yield pre, verdict[-1] if nonid else sheaf
+
+
+def walk_blocks(cat, max_card, top=None):
+    """``walk_flags`` under ``top``'s sheaf tests as one flag, each block's
+    flags read as its sheaf verdict (None without a topology): the base walk
+    as a suite ran it beside a second walk of the quotient."""
+    tests = () if top is None else [(reads, test, NOT_SHEAF) for reads, test, _ in sheaf_tests(top)]
+    for pre, flags, last, values in walk_flags(cat, max_card, tests):
+        yield pre, None if top is None else not flags, last, values
 
 
 def reservoir_by_randint(walk, k, rng, sample):
@@ -741,3 +758,87 @@ def pi0(vertices, edges) -> tuple[tuple[str, ...], ...]:
             raise ValueError(f"edge endpoint is not a vertex: {a if a not in vset else b}")
         uf.union(a, b)
     return tuple(tuple(members) for _, members in sorted(uf.classes().items()))
+
+
+class _AlongGamma:
+    """The restriction tables of gamma^*P over a live view of P: f reads P(gamma f)."""
+
+    def __init__(self, restrict, gamma):
+        self.restrict, self.gamma = restrict, gamma
+
+    def __getitem__(self, f):
+        return self.restrict[self.gamma[f]]
+
+
+def comparison_walk(h: HomotopyCategoryData, top: GrothendieckTopology,
+                    induced_top: GrothendieckTopology, bound: int):
+    """A second walk, over the quotient, for lemma groups (b)/(c): flags of P
+    under [τ]'s sheaf tests, then, two bits up, of gamma^*P under τ's (one
+    view per size vector)."""
+    gamma, view = h.gamma, [None, None]
+
+    def on_pullback(pre, test):
+        if view[0] is not pre:
+            view[:] = pre, SetPresheaf(h.base, pre.value, _AlongGamma(pre.restrict, gamma))
+        return test(view[1])
+    return walk_flags(h.ho, bound, [*induced.sheaf_tests(induced_top), *(
+        ({gamma[m] for m in reads}, partial(on_pullback, test=test), flag << 2)
+        for reads, test, flag in induced.sheaf_tests(top))])
+
+
+def implications_by_quotient_walk(h: HomotopyCategoryData, top: GrothendieckTopology,
+                                  induced_top: GrothendieckTopology, bound: int, rng,
+                                  sample: list) -> list[CheckResult]:
+    """Groups (b) and (c) over the quotient walk, which fills the (a)
+    reservoir too; only the first failure and the first witness (cover by
+    the classifier on gamma_star of it) are built."""
+    cases, b_fail, witness = 0, None, None
+    for pre, flags, last, values in reservoir(comparison_walk(h, top, induced_top, bound),
+                                              10, rng, sample):
+        cases += len(values)
+        ho, base = flags & 3, flags >> 2  # KINDS keys of P and of gamma^*P
+        if b_fail is None and (ho and not base or (ho ^ base) & NOT_SEPARATED):
+            bad = ("base sheaf with non-sheaf original" if not base else
+                   "base separated with non-separated original" if ho & NOT_SEPARATED else
+                   "separated original with non-separated pullback")
+            b_fail = CheckResult(
+                "sheaf-implications", "fail", bad,
+                counterexample={"presheaf": induced._presheaf_payload(_build(pre, last, values[0])),
+                                "original": KINDS[ho], "pullback": KINDS[base]})
+        if witness is None and base and not ho:
+            pulled = gamma_star(h, leaf := _build(pre, last, values[0]))
+            x, cover = classify_presheaf(pulled, top).witness
+            found = {"sections": len(pulled.value[x]),
+                     "families": len(matching_families(pulled, cover))}
+            witness = CheckResult(
+                "converse-witness", "pass", f"witness found: sheaf over the quotient, "
+                f"pullback has {found['sections']} sections vs {found['families']} families",
+                data={"found": True, **found}, counterexample={
+                    "presheaf": induced._presheaf_payload(leaf), "object": x,
+                    "cover": format_sieve(h.base, cover), **found})
+    return [b_fail or CheckResult("sheaf-implications", "pass",
+                                  f"{cases} presheaves, all implications hold",
+                                  data={"cases": cases}),
+            witness or CheckResult("converse-witness", "pass", "no witness within bounds",
+                                   data={"found": False})]
+
+
+def suite_walks_by_two(h: HomotopyCategoryData, top: GrothendieckTopology,
+                       induced_top: GrothendieckTopology, bound: int, seed: int,
+                       engine_samples: int) -> dict:
+    """What a suite read off its two presheaf walks: the quotient walk's
+    (b)/(c) results, (a) sample and ``Random(seed)`` state, and the base
+    walk's sheaves (as restriction lists, in order), engine sample and
+    ``Random(seed + 1)`` state."""
+    rng, sample, base_rng, engine = Random(seed), [], Random(seed + 1), []
+    implications = implications_by_quotient_walk(h, top, induced_top, bound, rng, sample)
+    walk = reservoir(walk_blocks(h.base, bound, top), engine_samples, base_rng, engine)
+    sheaves = [list(pre.restrict.items()) for pre, _ in leaves(filter(itemgetter(1), walk))]
+    return {"implications": [r.to_dict() for r in implications],
+            "sample": presheaf_copies(sample), "rng": rng.getstate(),
+            "sheaves": sheaves, "engine": presheaf_copies(engine), "base_rng": base_rng.getstate()}
+
+
+def presheaf_copies(presheaves) -> list:
+    """Each presheaf's category, values and restriction items, key order included."""
+    return [(p.cat, p.value, list(p.restrict.items())) for p in presheaves]

@@ -584,6 +584,20 @@ def test_digest_ignores_formatting():
     assert site_digest(json.loads(text)) == site_digest(doc)
 
 
+def test_package_runs_as_a_module(fixture_files):
+    # python -m hosite is the same harness as python -m hosite.cli: the
+    # fixture it writes loads, and check-lemmas on it replays byte for byte
+    proc = subprocess.run([sys.executable, "-m", "hosite", "fixture", "B"],
+                          capture_output=True, text=True, env=CLI_ENV)
+    assert (proc.returncode, proc.stdout) == (0, serialize_site(fixture_doc("B")))
+    runs = [subprocess.run([sys.executable, "-m", "hosite", "check-lemmas", fixture_files["B"],
+                            "--json"], capture_output=True, text=True, env=CLI_ENV)
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["command"] == "check-lemmas"
+
+
 def test_seed_env_override(fixture_files, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "hosite.cli", "induce", fixture_files["B"], "--json"],

@@ -32,10 +32,10 @@ from hosite import (
 )
 import hosite.induced as induced_mod
 import hosite.sieves as sieves
-from hosite.enumeration import enumerate_presheaves, leaves, walk_blocks
+from hosite.enumeration import enumerate_presheaves, leaves
 from hosite.induced import TheoremViolation
-from hosite.sheafify import KINDS
-from oracles import least_covers, validate_cover_sets
+from hosite.sheafify import KINDS, NOT_SHEAF
+from oracles import least_covers, validate_cover_sets, walk_blocks
 
 # the package exports the function sheafify under the module's name
 sheafify_mod = importlib.import_module("hosite.sheafify")
@@ -205,21 +205,31 @@ def _walk_cases(all_sites, random_sites):
 
 
 def test_walk_quotient_classification_agrees_with_classify_presheaf(all_sites, random_sites):
-    # lemma groups (b)/(c) decide both sides' sheaf tests in one walk of the
-    # quotient; the kinds its flags give must be classify_presheaf's on the
-    # built presheaf and on gamma_star of it, leaf by leaf in order
+    # the site walk's gamma-constant leaves are the quotient's presheaves in
+    # its walk order; on them the flags give [τ]'s kind of the quotient
+    # presheaf and τ's sheaf verdict of the leaf, as classify_presheaf does
     leaf_count = 0
     for site, bound in _walk_cases(all_sites, random_sites):
         h, top = site.homotopy, site.topology
         induced = induced_topology(h, top)
-        walked = leaves(induced_mod._comparison_walk(h, top, induced, bound))
+        rep = h.rep
+        walk = induced_mod._site_walk(h, top, induced, bound, Random(0), [], [])
+        walked = ((pre, flags) for pre, flags in leaves(walk)
+                  if all(t == pre.restrict[rep[h.gamma[m]]] for m, t in pre.restrict.items()))
         for (pre, flags), built in zip_longest(walked, enumerate_presheaves(h.ho, bound)):
-            assert list(pre.restrict.items()) == list(built.restrict.items())
-            assert (KINDS[flags & 3], KINDS[flags >> 2]) == (
-                classify_presheaf(built, induced).kind,
-                classify_presheaf(gamma_star(h, built), top).kind)
+            assert [pre.restrict[rep[q]] for q in built.restrict] == list(built.restrict.values())
+            assert (KINDS[flags >> 1 & 3], not flags & NOT_SHEAF) == (
+                classify_presheaf(built, induced).kind, is_sheaf(pre, top))
             leaf_count += 1
     assert leaf_count == 6243
+
+
+def _one_walk_implications(h, top, induced, bound, rng, sample) -> list:
+    """The (b)/(c) results of the site walk, filling the (a) reservoir."""
+    results: list = []
+    for _ in induced_mod._site_walk(h, top, induced, bound, rng, sample, results):
+        pass
+    return results
 
 
 def _implication_cases(all_sites):
@@ -239,7 +249,7 @@ def test_implications_agree_with_the_per_leaf_oracle(all_sites):
         h, top = site.homotopy, site.topology
         induced = induced_topology(h, top)
         rng, sample, oracle_rng, oracle_sample = Random(seed), [], Random(seed), []
-        got = induced_mod._implications(h, top, induced, bound, rng, sample)
+        got = _one_walk_implications(h, top, induced, bound, rng, sample)
         want = implications_by_leaf(h, top, induced, bound, oracle_rng, oracle_sample)
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
         assert got[0].verdict == "pass"  # the implications are theorems
@@ -275,7 +285,7 @@ def test_forced_implication_failures_agree_with_the_oracle(
         h, top = site.homotopy, site.topology
         induced = induced_topology(h, top)
         rng, sample, oracle_rng, oracle_sample = Random(seed), [], Random(seed), []
-        got = induced_mod._implications(h, top, induced, 2, rng, sample)
+        got = _one_walk_implications(h, top, induced, 2, rng, sample)
         want = implications_by_leaf(h, top, induced, 2, oracle_rng, oracle_sample)
         assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
         assert [list(p.restrict.items()) for p in sample] == \
@@ -289,13 +299,15 @@ def test_lemma_tests_evaluated_on_c_at_bound_4(site_c, count_calls):
     # the comparison lemmas on C at bound 4 run each half of each sheaf test
     # once per subtree, and a count only where injectivity held: the per-leaf
     # loop made 155,266 injectivity tests and 101,950 family counts here. The
-    # injectivity test reads the quotient's only slot, so it still runs per leaf
+    # injectivity test reads the only slot, so it still runs per leaf; where
+    # τ's test fails, its injectivity half runs again per leaf for the kind
+    # (232 more than the quotient walk's two bits per side)
     h, top = site_c.homotopy, site_c.topology
     induced = induced_topology(h, top)
     injective = count_calls(sheafify_mod, "_injective")
     counted = count_calls(sheafify_mod, "_exact_family_count")
     check_comparison_lemmas(h, top, induced, bound=4)
-    assert (len(injective), len(counted)) == (155_266, 42)
+    assert (len(injective), len(counted)) == (155_498, 42)
 
 
 def test_walk_transfer_verdict_agrees_with_is_sheaf(all_sites, random_sites, monkeypatch):

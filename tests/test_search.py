@@ -15,9 +15,9 @@ import pytest
 import hosite.core as core
 import hosite.enumeration as enumeration
 from hosite import SetPresheaf, constant_presheaf, hom_presheaves, matching_families, random_site, run_site_suite, yoneda
-from hosite.enumeration import enumerate_presheaves, leaves, reservoir, sample_presheaves, walk_blocks
+from hosite.enumeration import enumerate_presheaves, leaves, reservoir, sample_presheaves
 from hosite.util import backtrack
-from oracles import iter_hom_by_object, reservoir_by_randint, walk_by_leaf
+from oracles import iter_hom_by_object, reservoir_by_randint, walk_blocks, walk_by_leaf
 
 
 def _digest(lines) -> str:
@@ -149,12 +149,11 @@ def test_hom_values_tried_frozen(site_b, monkeypatch):
 
 
 def test_walk_values_tried_frozen(site_b, monkeypatch):
-    # both walks of one wide-value suite, base and quotient; a walk that set
-    # the free last slot through backtrack tried 78,631 values here. The base
-    # walk tries 757; the quotient walk now runs the sheaf tests of both
-    # sides on its only slot, so it sets each of its 499 leaves (it handed
-    # them over in blocks, trying none, while it ran no test)
-    assert _values_tried(enumeration, site_b, 4, monkeypatch) == 1_256
+    # the one walk of a wide-value suite, over the base; a walk that set the
+    # free last slot through backtrack tried 78,631 values here. A second
+    # walk, over the quotient, set each of its 499 leaves too (1,256 in all)
+    # before the quotient's presheaves were read off the base walk
+    assert _values_tried(enumeration, site_b, 4, monkeypatch) == 757
 
 
 def _leaf_sequence(walk):

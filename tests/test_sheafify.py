@@ -40,7 +40,7 @@ from hosite import (
     yoneda,
 )
 from hosite.core import iter_hom_presheaves
-from hosite.enumeration import enumerate_presheaves, leaves, sample_presheaves, walk_blocks
+from hosite.enumeration import enumerate_presheaves, leaves, sample_presheaves
 from hosite.sheafify import transport_morphism
 from hosite.suite import ENGINE_SAMPLES
 from oracles import (
@@ -50,6 +50,7 @@ from oracles import (
     matching_families_product,
     sheafify_by_family_keys,
     transport_by_family_keys,
+    walk_blocks,
 )
 
 

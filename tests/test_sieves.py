@@ -201,14 +201,16 @@ def test_minimal_cover_of_covers_not_closed_under_intersection(site_b):
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
 def test_suite_computes_each_least_cover_once(name, monkeypatch):
     # one least-cover plan per object for the base topology and one for the
-    # induced topology, each read from the cover plan thereafter (the
-    # colimit oracle in sheafify lays out every cover on its own)
+    # induced topology, each read from the cover plan thereafter; the
+    # colimit oracle's layout plans every base cover once, on its own
     site = fixture_site(name)
     calls = []
     plan = sieves.sieve_plan
     monkeypatch.setattr(sieves, "sieve_plan", lambda cat, s: calls.append(s) or plan(cat, s))
     run_site_suite(site, bound=2, seed=0)
-    assert len(calls) == 2 * len(site.category.objects)
+    covers = [s for x in site.category.objects for s in site.topology.covers_of(x)]
+    assert len(calls) == 2 * len(site.category.objects) + len(covers)
+    assert sorted(calls[2 * len(site.category.objects):]) == sorted(covers)
 
 
 def test_closed_form_laws_agree_with_oracle(all_sites, random_sites):

@@ -29,8 +29,9 @@ from hosite import (
     validate_presheaf,
 )
 from hosite.cli import main
-from hosite.enumeration import leaves, sample_presheaves, walk_blocks
+from hosite.enumeration import leaves, sample_presheaves
 from hosite.suite import ENGINE_SAMPLES
+from oracles import presheaf_copies, suite_walks_by_two, walk_blocks
 
 # the package exports the function sheafify under the module's name
 sheafify_mod = importlib.import_module("hosite.sheafify")
@@ -38,13 +39,12 @@ sheafify_mod = importlib.import_module("hosite.sheafify")
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
 def test_each_category_enumerated_once(name, count_calls):
-    # both walks, base and quotient, go through one walk core
+    # one walk per site, over the base: the quotient's presheaves are read
+    # off it as its gamma-constant leaves
     site = fixture_site(name)
     calls = count_calls(enumeration, "walk_flags")
     assert all(c.verdict == "pass" for c in run_site_suite(site, bound=2, seed=0))
-    cats = [args[0] for args in calls]
-    assert len(cats) == 2
-    assert site.category in cats and site.homotopy.ho in cats
+    assert [args[0] for args in calls] == [site.category]
 
 
 def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
@@ -64,10 +64,11 @@ def test_sheaf_transfer_tests_only_the_pushed_images(count_calls):
 def test_suite_classifies_through_the_public_classifier(name, count_calls):
     # every classification of the suite goes through classify_presheaf and
     # every pullback through gamma_star, where a wrapper can see them. The
-    # quotient walk decides lemma groups (b)/(c) from the sheaf tests, so it
-    # builds, pulls back and classifies one leaf: the first converse witness.
-    # Besides: one classification per tested transfer image and per engine
-    # presheaf, and two pullbacks per pulled-back morphism
+    # site walk decides lemma groups (b)/(c) from the sheaf tests, so it
+    # builds and classifies one leaf, the first converse witness, whose
+    # pullback is the base leaf itself. Besides: one classification per
+    # tested transfer image and per engine presheaf, and two pullbacks per
+    # pulled-back morphism
     site = fixture_site(name)
     h, top = site.homotopy, site.topology
     induced_top = induced.induced_topology(h, top)
@@ -82,8 +83,10 @@ def test_suite_classifies_through_the_public_classifier(name, count_calls):
     [(_, pres)] = engine_calls
     witness = int(checks["converse-witness"].data["found"])
     assert len(classified) == witness + images + len(pres)
-    assert len(pulled) == witness + 2 * len(morphisms)
-    assert [t for _, t in classified[:witness]] == [top] * witness
+    assert len(pulled) == 2 * len(morphisms)
+    # the witness is classified where the walk meets it, among the images
+    during_walk = [t for _, t in classified[:witness + images]]
+    assert (during_walk.count(top), during_walk.count(induced_top)) == (witness, images)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E"])
@@ -118,6 +121,63 @@ def test_family_key_calls_frozen(site_b, count_calls, monkeypatch):
     keys = count_calls(sheafify_mod, "family_key")
     run_site_suite(site_b, bound=4, seed=0)
     assert (len(keys), sum(families)) == (1_586, 1_520)
+
+
+def _two_walk_cases(all_sites):
+    cases = [(site, 2, seed) for seed, site in enumerate(
+        [*all_sites.values(), *map(random_site, range(60))])]
+    cases += [(all_sites[name], 3, 7) for name in "BDE"]
+    return cases + [(all_sites[name], 4, 11) for name in "BC"]
+
+
+def test_one_walk_agrees_with_the_two_walk_oracle(all_sites, monkeypatch):
+    # the suite's one walk over the base gives what a walk of each category
+    # gave: the (b)/(c) results and case counts, the (a) sample (key order
+    # included) and Random(seed) state, the base sheaves in order, and the
+    # engine sample and Random(seed + 1) state
+    seen: dict = {}
+    site_walk, reservoir = induced._site_walk, suite.reservoir
+
+    def recorded_walk(*args):
+        # the results, (a) sample and Random(seed) state once the walk is done
+        yield from site_walk(*args)
+        rng, sample, results = args[-3:]
+        seen["lemmas"] = results, presheaf_copies(sample), rng.getstate()
+
+    def recorded_reservoir(blocks, k, rng, sample):
+        seen["engine"] = rng, sample
+        return reservoir(blocks, k, rng, sample)
+    monkeypatch.setattr(induced, "_site_walk", recorded_walk)
+    monkeypatch.setattr(suite, "reservoir", recorded_reservoir)
+    transfer = suite.check_sheaf_transfer
+    monkeypatch.setattr(suite, "check_sheaf_transfer", lambda h, ind, sheaves: transfer(
+        h, ind, (seen.setdefault("sheaves", []).append(list(pre.restrict.items())) or pre
+                 for pre in sheaves)))
+    witnesses = 0
+    for site, bound, seed in _two_walk_cases(all_sites):
+        h, top = site.homotopy, site.topology
+        want = suite_walks_by_two(h, top, induced.induced_topology(h, top), bound, seed,
+                                  ENGINE_SAMPLES)
+        seen.clear()
+        run_site_suite(site, bound=bound, seed=seed)
+        results, sample, rng = seen["lemmas"]
+        base_rng, engine = seen["engine"]
+        got = {"implications": [r.to_dict() for r in results], "sample": sample,
+               "rng": rng, "sheaves": seen.get("sheaves", []),
+               "engine": presheaf_copies(engine[:-len(site.presheaves) or None]),
+               "base_rng": base_rng.getstate()}
+        assert got == want
+        witnesses += results[1].data["found"]
+    assert witnesses == 4
+
+
+def test_site_walk_blocks_on_b_at_bound_4(site_b):
+    # a free last slot stays one block: the base walk of B at bound 4 hands
+    # its 77,633 leaves over in 739 blocks, as without the quotient's tests
+    h, top = site_b.homotopy, site_b.topology
+    blocks = [len(block[3]) for block in induced._site_walk(
+        h, top, induced.induced_topology(h, top), 4, Random(0), [], [])]
+    assert (len(blocks), sum(blocks)) == (739, 77_633)
 
 
 def test_engine_samples_come_from_the_transfer_pass(all_sites, random_sites, monkeypatch):
