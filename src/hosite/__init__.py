@@ -10,17 +10,13 @@ from .core import (
     ValidationReport,
     componentwise_bijection,
     compose_morphisms,
-    constant_presheaf,
-    empty_presheaf,
     equalizer_presheaf,
     hom_presheaves,
-    identity_morphism,
     make_category,
     make_presheaf,
     product_presheaf,
     validate_category,
     validate_presheaf,
-    validate_presheaf_morphism,
     yoneda,
 )
 from .sieves import (
@@ -33,9 +29,7 @@ from .sieves import (
     minimal_cover,
     pullback_sieve,
     saturate_topology,
-    sieve_inclusion,
     sieve_presheaf,
-    trivial_topology,
     validate_sieve,
     validate_topology,
 )
@@ -48,7 +42,6 @@ from .sheafify import (
     is_sheaf,
     is_tau_iso,
     matching_families,
-    plus_construction,
     plus_construction_via_colimit,
     sheafify,
     sheafify_morphism,

@@ -189,19 +189,6 @@ def make_presheaf(cat, value, restrict) -> SetPresheaf:
     return SetPresheaf(cat, val, res)
 
 
-def constant_presheaf(cat, elements) -> SetPresheaf:
-    elems = tuple(sorted(elements))
-    return SetPresheaf(
-        cat,
-        {o: elems for o in cat.objects},
-        {m: {s: s for s in elems} for m in cat.morphisms},
-    )
-
-
-def empty_presheaf(cat) -> SetPresheaf:
-    return SetPresheaf(cat, {o: () for o in cat.objects}, {m: {} for m in cat.morphisms})
-
-
 def validate_presheaf(pre: SetPresheaf, cat: FiniteCategory | None = None) -> ValidationReport:
     """Check functoriality exhaustively; report the first violation."""
     if cat is None:
@@ -259,28 +246,6 @@ class PresheafMorphism:
     source: SetPresheaf
     target: SetPresheaf
     components: dict[str, dict[str, str]]
-
-
-def validate_presheaf_morphism(m: PresheafMorphism) -> ValidationReport:
-    if m.source.cat != m.target.cat:
-        return _fail("structure", (), "source and target live over different categories")
-    cat = m.source.cat
-    if set(m.components) != set(cat.objects):
-        return _fail("structure", (), "components do not cover the objects")
-    for o in cat.objects:
-        comp = m.components[o]
-        if set(comp) != set(m.source.value[o]) or not set(comp.values()) <= set(m.target.value[o]):
-            return _fail("structure", (o,), f"component at {o} is not a total map into the target value")
-    for f in cat.morphisms:
-        v, x = cat.dom[f], cat.cod[f]
-        for s in m.source.value[x]:
-            if m.components[v][m.source.restrict[f][s]] != m.target.restrict[f][m.components[x][s]]:
-                return _fail("naturality", (f, s), f"square for {f} fails at {s}")
-    return PASS
-
-
-def identity_morphism(pre: SetPresheaf) -> PresheafMorphism:
-    return PresheafMorphism(pre, pre, {o: {s: s for s in pre.value[o]} for o in pre.cat.objects})
 
 
 def compose_morphisms(m2: PresheafMorphism, m1: PresheafMorphism) -> PresheafMorphism:

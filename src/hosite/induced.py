@@ -104,7 +104,9 @@ def induced_topology(h: HomotopyCategoryData, top: GrothendieckTopology) -> Grot
 
 def check_cover_reflecting(h: HomotopyCategoryData, top: GrothendieckTopology,
                            induced: GrothendieckTopology) -> CheckResult:
-    """Preimages of induced covers must be covers in the base."""
+    """Preimages of induced covers must be covers in the base. This holds by
+    construction: with J(x) the base least cover, every induced cover u of x
+    holds [J(x)], which holds gamma(J(x)), so ``_preimage(h, u)`` holds J(x)."""
     checked = 0
     for x in h.ho.objects:
         for u in induced.covers_of(x):

@@ -73,8 +73,10 @@ def _slot_triples(keys, candidates, width):
 
 
 def _assign_composites(rng: Random, objects, arrows):
-    """An associative composition table, or None if a composable pair has no
-    candidate, the node budget runs out or every candidate fails."""
+    """An associative composition table, or None if the node budget runs out
+    or every candidate fails. The pattern comes from ``_complete_pattern``, so
+    every composable pair g∘f has a candidate: an arrow dom f -> cod g where
+    the two objects differ, the identity where they agree."""
     codes = [a[0] for a in arrows] + ["id_" + o for o in objects]
     n, width = len(arrows), len(codes)
     dom = [n + objects.index(a[1]) for a in arrows]  # the identity's code
@@ -86,8 +88,6 @@ def _assign_composites(rng: Random, objects, arrows):
         cands = [m for m in range(n) if dom[m] == dom[f] and cod[m] == cod[g]]
         if dom[f] == cod[g]:
             cands.append(dom[f])
-        if not cands:
-            return None
         rng.shuffle(cands)
         candidates.append(cands)
 

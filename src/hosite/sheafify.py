@@ -211,11 +211,6 @@ def _plus_morphism(m: PresheafMorphism, src: _PlusData, tgt: _PlusData) -> Presh
     return PresheafMorphism(src.presheaf, tgt.presheaf, comps)
 
 
-def plus_construction(pre: SetPresheaf, top: GrothendieckTopology) -> SetPresheaf:
-    """One application of the plus-construction."""
-    return _plus(pre, top).presheaf
-
-
 @dataclass(frozen=True)
 class SheafificationResult:
     sheaf: SetPresheaf
@@ -280,8 +275,8 @@ def plus_construction_via_colimit(pre: SetPresheaf, top: GrothendieckTopology) -
     Enumerates (cover, family) pairs over every covering sieve, identifies
     two pairs when they agree on a common covering refinement, and only then
     names each class by its restriction to the minimal sieve. Must agree
-    with plus_construction on the nose; raises if the class structure does
-    not biject with the minimal-sieve families.
+    on the nose with the first plus step of ``sheafify``; raises if the class
+    structure does not biject with the minimal-sieve families.
     """
     cat, (plans_of, least_of, holding, pulled_of) = pre.cat, top._colimit_layout
     class_of, value, restrict = {}, {}, {}  # class_of[x]: (cover index, sections) -> name

@@ -128,10 +128,6 @@ def sieve_presheaf(cat: FiniteCategory, s: Sieve) -> SetPresheaf:
     return _arrows_presheaf(cat, s.members)
 
 
-def sieve_inclusion(cat: FiniteCategory, s: Sieve) -> PresheafMorphism:
-    return _inclusion(sieve_presheaf(cat, s), yoneda(cat, s.root))
-
-
 def _inclusion(sub: SetPresheaf, whole: SetPresheaf) -> PresheafMorphism:
     return PresheafMorphism(sub, whole, {o: {f: f for f in sub.value[o]} for o in sub.cat.objects})
 
@@ -189,10 +185,6 @@ class GrothendieckTopology:
         a bijection, so only these covers can fail."""
         return tuple(plan for plan in self._cover_plan.values()
                      if len(plan.members) != len(self.base.arrows_into(plan.sieve.root)))
-
-
-def trivial_topology(cat: FiniteCategory) -> GrothendieckTopology:
-    return GrothendieckTopology(cat, {o: maximal_sieve(cat, o) for o in cat.objects})
 
 
 def validate_topology(top: GrothendieckTopology) -> ValidationReport:

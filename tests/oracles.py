@@ -46,6 +46,10 @@ gamma^*P read through gamma, the base walk deciding the sheaves and the
 engine sample), against which the one walk of the base, reading the
 quotient's presheaves off its gamma-constant leaves, is checked for the
 same results, samples, rng states and sheaf sequence.
+
+The naturality check on presheaf morphisms, the constant and empty
+presheaves, identity morphisms and sieve inclusions are test helpers kept
+here rather than package API: nothing in the package calls them.
 """
 from __future__ import annotations
 
@@ -78,7 +82,7 @@ from hosite import (
     minimal_cover,
     pullback_sieve,
     sheafify_morphism,
-    sieve_inclusion,
+    sieve_presheaf,
     validate_sieve,
     yoneda,
 )
@@ -87,8 +91,49 @@ from hosite.enumeration import LABELS, _build, leaves, reservoir, walk_flags
 from hosite.homotopy import HomotopyCategoryData
 from hosite.randomsites import _NODE_BUDGET
 from hosite.sheafify import KINDS, NOT_SEPARATED, NOT_SHEAF, _family_dicts, family_key, sheaf_tests
-from hosite.sieves import sieve_plan
+from hosite.sieves import _inclusion, sieve_plan
 from hosite.util import UnionFind, backtrack
+
+
+def constant_presheaf(cat, elements) -> SetPresheaf:
+    elems = tuple(sorted(elements))
+    return SetPresheaf(
+        cat,
+        {o: elems for o in cat.objects},
+        {m: {s: s for s in elems} for m in cat.morphisms},
+    )
+
+
+def empty_presheaf(cat) -> SetPresheaf:
+    return SetPresheaf(cat, {o: () for o in cat.objects}, {m: {} for m in cat.morphisms})
+
+
+def identity_morphism(pre: SetPresheaf) -> PresheafMorphism:
+    return PresheafMorphism(pre, pre, {o: {s: s for s in pre.value[o]} for o in pre.cat.objects})
+
+
+def sieve_inclusion(cat, s: Sieve) -> PresheafMorphism:
+    return _inclusion(sieve_presheaf(cat, s), yoneda(cat, s.root))
+
+
+def validate_presheaf_morphism(m: PresheafMorphism) -> ValidationReport:
+    """Components total into the target, and every naturality square commutes."""
+    if m.source.cat != m.target.cat:
+        return ValidationReport(False, "structure", (), "source and target live over different categories")
+    cat = m.source.cat
+    if set(m.components) != set(cat.objects):
+        return ValidationReport(False, "structure", (), "components do not cover the objects")
+    for o in cat.objects:
+        comp = m.components[o]
+        if set(comp) != set(m.source.value[o]) or not set(comp.values()) <= set(m.target.value[o]):
+            return ValidationReport(False, "structure", (o,),
+                                    f"component at {o} is not a total map into the target value")
+    for f in cat.morphisms:
+        v, x = cat.dom[f], cat.cod[f]
+        for s in m.source.value[x]:
+            if m.components[v][m.source.restrict[f][s]] != m.target.restrict[f][m.components[x][s]]:
+                return ValidationReport(False, "naturality", (f, s), f"square for {f} fails at {s}")
+    return ValidationReport(True)
 
 
 def hom_product_filter(u, f):

@@ -21,11 +21,11 @@ from hosite import (
     is_bracket_cover,
     maximal_sieve,
     minimal_cover,
-    plus_construction,
     random_site,
     run_population,
     run_site_suite,
     serialize_site,
+    sheafify,
     thicken_sieve,
 )
 from hosite.cli import main as cli_main
@@ -171,9 +171,9 @@ def test_criterion_6_sheafification_engine(population, site_b, site_d):
     total, failures = population.aggregate("sheafification-engine")
     ok = total == POPULATION_SIZE + 5 and not failures
 
-    plus_b = plus_construction(site_b.presheaves["K2"], site_b.topology)
+    plus_b = sheafify(site_b.presheaves["K2"], site_b.topology).steps[0].presheaf
     ok = ok and len(plus_b.value["y"]) == 4
-    plus_d = plus_construction(site_d.presheaves["F"], site_d.topology)
+    plus_d = sheafify(site_d.presheaves["F"], site_d.topology).steps[0].presheaf
     ok = ok and len(plus_d.value["c"]) == 2
     # independent counts by brute-force family enumeration on the minimal covers
     j = generate_sieve(site_b.category, "y", ["f1", "f2"])

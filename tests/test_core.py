@@ -6,8 +6,6 @@ import pytest
 
 from hosite import (
     FiniteCategory,
-    constant_presheaf,
-    empty_presheaf,
     hom_presheaves,
     make_category,
     make_presheaf,
@@ -20,7 +18,7 @@ from hosite import (
     yoneda,
 )
 from hosite.enumeration import enumerate_presheaves
-from oracles import hom_product_filter
+from oracles import constant_presheaf, empty_presheaf, hom_product_filter, validate_presheaf_morphism
 
 
 def test_validate_terminal_category(site_a):
@@ -154,7 +152,7 @@ def test_hom_agrees_with_product_oracle(all_sites):
 
 def test_operation_outputs_pass_their_validators(all_sites):
     # build -> validate round-trips for every constructor surface
-    from hosite import validate_presheaf_morphism, validate_sieve, sieve_presheaf as sp
+    from hosite import validate_sieve, sieve_presheaf as sp
     for site in all_sites.values():
         cat = site.category
         assert validate_category(cat)

@@ -6,8 +6,6 @@ from hosite import (
     EnrichedCategory,
     PresheafMorphism,
     compose_morphisms,
-    constant_presheaf,
-    empty_presheaf,
     gamma_lower_star,
     gamma_shriek,
     gamma_shriek_morphism,
@@ -16,7 +14,6 @@ from hosite import (
     generate_sieve,
     homotopy_category,
     hom_presheaves,
-    identity_morphism,
     is_sheaf,
     make_category,
     make_presheaf,
@@ -25,12 +22,20 @@ from hosite import (
     validate_category,
     validate_enrichment,
     validate_presheaf,
-    validate_presheaf_morphism,
     yoneda,
 )
 from hosite.enumeration import enumerate_presheaves
 from hosite.homotopy import _shriek
-from oracles import gamma_lower_star_end, gamma_shriek_coend, isomorphic, pi0
+from oracles import (
+    constant_presheaf,
+    empty_presheaf,
+    gamma_lower_star_end,
+    gamma_shriek_coend,
+    identity_morphism,
+    isomorphic,
+    pi0,
+    validate_presheaf_morphism,
+)
 
 
 def test_pi0_examples():

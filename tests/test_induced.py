@@ -144,6 +144,17 @@ def test_cover_reflecting_preimage_example(site_b):
     assert Sieve("y", pre) in site_b.topology.covers["y"]
 
 
+def test_cover_reflecting_preimages_are_listed_covers(all_sites):
+    # the proof in check_cover_reflecting's docstring, checked by membership
+    # in tau's explicit cover list rather than by top.is_cover
+    for site in [*all_sites.values(), *map(random_site, range(60))]:
+        h, top = site.homotopy, site.topology
+        induced = induced_topology(h, top)
+        for x in h.ho.objects:
+            for u in induced.covers[x]:
+                assert induced_mod._preimage(h, u) in top.covers[x], (site.digest, x, u)
+
+
 def test_comparison_lemmas_on_fixture_b(site_b):
     h = site_b.homotopy
     induced = induced_topology(h, site_b.topology)

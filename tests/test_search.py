@@ -14,10 +14,10 @@ import pytest
 
 import hosite.core as core
 import hosite.enumeration as enumeration
-from hosite import SetPresheaf, constant_presheaf, hom_presheaves, matching_families, random_site, run_site_suite, yoneda
+from hosite import SetPresheaf, hom_presheaves, matching_families, random_site, run_site_suite, yoneda
 from hosite.enumeration import enumerate_presheaves, leaves, reservoir, sample_presheaves
 from hosite.util import backtrack
-from oracles import iter_hom_by_object, reservoir_by_randint, walk_blocks, walk_by_leaf
+from oracles import constant_presheaf, iter_hom_by_object, reservoir_by_randint, walk_blocks, walk_by_leaf
 
 
 def _digest(lines) -> str:

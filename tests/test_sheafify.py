@@ -14,8 +14,6 @@ from hosite import (
     classify_presheaf,
     compose_morphisms,
     componentwise_bijection,
-    constant_presheaf,
-    empty_presheaf,
     equalizer_presheaf,
     gamma_star_morphism,
     generate_sieve,
@@ -26,17 +24,14 @@ from hosite import (
     make_presheaf,
     matching_families,
     maximal_sieve,
-    plus_construction,
     plus_construction_via_colimit,
     product_presheaf,
     random_site,
+    saturate_topology,
     sheafify,
     sheafify_morphism,
-    sieve_inclusion,
     sieve_presheaf,
-    trivial_topology,
     validate_presheaf,
-    validate_presheaf_morphism,
     yoneda,
 )
 from hosite.core import iter_hom_presheaves
@@ -46,10 +41,14 @@ from hosite.suite import ENGINE_SAMPLES
 from oracles import (
     assert_classification_agrees,
     classify_by_families,
+    constant_presheaf,
+    empty_presheaf,
     is_tau_iso_by_sheafification,
     matching_families_product,
     sheafify_by_family_keys,
+    sieve_inclusion,
     transport_by_family_keys,
+    validate_presheaf_morphism,
     walk_blocks,
 )
 
@@ -102,7 +101,7 @@ def test_classification_examples(site_b, site_d):
     cls = classify_presheaf(k2, site_b.topology)
     assert cls.kind == "separated-not-sheaf"
     assert cls.witness == ("y", j_sieve(site_b))
-    assert classify_presheaf(k2, trivial_topology(site_b.category)).kind == "sheaf"
+    assert classify_presheaf(k2, saturate_topology(site_b.category, {})).kind == "sheaf"
 
 
 def _d_product_sheaf(site_d):
@@ -192,11 +191,11 @@ def test_sheaf_plans_are_laid_out_once_per_topology(site_b, monkeypatch):
 
 def test_plus_counts(site_b, site_d):
     k2 = site_b.presheaves["K2"]
-    plus = plus_construction(k2, site_b.topology)
+    plus = sheafify(k2, site_b.topology).steps[0].presheaf
     assert len(plus.value["y"]) == 4
     assert len(plus.value["x"]) == 2
     assert validate_presheaf(plus)
-    f_plus = plus_construction(site_d.presheaves["F"], site_d.topology)
+    f_plus = sheafify(site_d.presheaves["F"], site_d.topology).steps[0].presheaf
     assert len(f_plus.value["c"]) == 2
 
 
@@ -220,7 +219,7 @@ def test_sheafify_examples(site_b):
 
 
 def test_sheafify_empty_presheaf(site_b):
-    top = trivial_topology(site_b.category)
+    top = saturate_topology(site_b.category, {})
     result = sheafify(empty_presheaf(site_b.category), top)
     assert all(result.sheaf.value[o] == () for o in site_b.category.objects)
 
@@ -295,16 +294,15 @@ def test_colimit_oracle_agrees(all_sites):
         pres = sample_presheaves(site.category, 2, 4, rng) + list(site.presheaves.values())
         for pre in pres:
             assert plus_construction_via_colimit(pre, site.topology) == \
-                plus_construction(pre, site.topology)
+                sheafify(pre, site.topology).steps[0].presheaf
 
 
 def test_colimit_oracle_agrees_on_degenerate_topology(site_b):
-    from hosite import saturate_topology
     top = saturate_topology(site_b.category, {"y": [["f1"]]})  # everything covers
     k2 = site_b.presheaves["K2"]
-    assert plus_construction_via_colimit(k2, top) == plus_construction(k2, top)
+    assert plus_construction_via_colimit(k2, top) == sheafify(k2, top).steps[0].presheaf
     assert Sieve("y", frozenset()) in top.covers["y"]
-    assert len(plus_construction(k2, top).value["y"]) == 1
+    assert len(sheafify(k2, top).steps[0].presheaf.value["y"]) == 1
 
 
 def test_sheafify_morphism_natural(site_b):

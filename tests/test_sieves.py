@@ -19,7 +19,6 @@ from hosite import (
     random_site,
     run_site_suite,
     saturate_topology,
-    trivial_topology,
     validate_sieve,
     validate_topology,
 )
@@ -133,7 +132,9 @@ def test_saturation_reaches_tau_b(site_b):
 
 
 def test_saturation_empty_generators_is_trivial(site_d):
-    assert saturate_topology(site_d.category, {}) == trivial_topology(site_d.category)
+    cat = site_d.category
+    assert saturate_topology(cat, {}) == \
+        GrothendieckTopology(cat, {o: maximal_sieve(cat, o) for o in cat.objects})
 
 
 def test_saturation_single_generator_degenerates(site_b):

@@ -21,11 +21,10 @@ from hosite import (
     validate_category,
     validate_enrichment,
     validate_presheaf,
-    validate_presheaf_morphism,
     validate_sieve,
     validate_topology,
 )
-from oracles import validate_cover_sets
+from oracles import validate_cover_sets, validate_presheaf_morphism
 
 ARROW = make_category(["a", "b"], [("f", "a", "b")])  # f : a -> b
 PAIR = make_category(["a", "b"], [("f", "a", "b"), ("f2", "a", "b")])
